@@ -1,19 +1,12 @@
-//! Ablation: the paper's binary-search Refine vs a galloping variant (and
-//! the q-gram indexed fast path), as factorization (compression-side)
-//! throughput — plus the decode-side ablation, fused zero-allocation
-//! pipeline vs the two-step oracle, so both hot-path speedups stay
-//! recorded side by side.
+//! Ablation: the paper's per-character Refine loop vs the factorizer's one
+//! whole-pattern search inside the q-gram interval, as factorization
+//! (compression-side) throughput — plus the decode-side ablation, fused
+//! zero-allocation pipeline vs the two-step oracle, so both hot-path
+//! speedups stay recorded side by side.
 use rlz_bench::{gov2_collection, ScaledConfig};
 use rlz_core::{Coder, Dictionary, PairCoding, SampleStrategy};
 use rlz_suffix::Matcher;
 use std::time::Instant;
-
-#[derive(Clone, Copy)]
-enum Strategy {
-    Binary,
-    Galloping,
-    Indexed,
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -23,7 +16,7 @@ fn main() {
     }
     let c = gov2_collection(&cfg);
     println!(
-        "Ablation — Refine search strategy, factorization throughput ({} MiB corpus)\n",
+        "Ablation — longest-match search, factorization throughput ({} MiB corpus)\n",
         cfg.collection_bytes >> 20
     );
     println!(
@@ -34,20 +27,16 @@ fn main() {
         let dict = Dictionary::sample(&c.data, dict_size, cfg.sample_len, SampleStrategy::Evenly);
         let matcher = Matcher::new(dict.bytes(), dict.suffix_array());
         let index = dict.prefix_index();
-        for (label, strategy) in [
-            ("binary", Strategy::Binary),
-            ("galloping", Strategy::Galloping),
-            ("indexed", Strategy::Indexed),
-        ] {
+        for (label, indexed) in [("refine", false), ("indexed", true)] {
             let t = Instant::now();
             let mut factors = 0u64;
             for doc in c.iter_docs() {
                 let mut i = 0usize;
                 while i < doc.len() {
-                    let (_, len) = match strategy {
-                        Strategy::Binary => matcher.longest_match(&doc[i..]),
-                        Strategy::Galloping => matcher.longest_match_galloping(&doc[i..]),
-                        Strategy::Indexed => matcher.longest_match_indexed(index, &doc[i..]),
+                    let (_, len) = if indexed {
+                        matcher.longest_match_indexed(index, &doc[i..])
+                    } else {
+                        matcher.longest_match(&doc[i..])
                     };
                     i += (len as usize).max(1);
                     factors += 1;

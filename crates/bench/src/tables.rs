@@ -332,10 +332,12 @@ pub fn concurrent_retrieval_table(title: &str, collection: &Collection, cfg: &Sc
 }
 
 /// Factorization-throughput table (build path; extension beyond the
-/// paper): MB/s and docs/s of RLZ factorization with the q-gram
-/// [`rlz_suffix::PrefixIndex`] fast path vs the paper's plain `Refine`
-/// matcher, across dictionary sizes. Also spot-checks that both matchers
-/// emit identical factorizations before timing anything.
+/// paper): MB/s and docs/s of RLZ factorization by the two matchers the
+/// suffix crate keeps — `indexed`, one whole-pattern binary search inside
+/// the q-gram [`rlz_suffix::PrefixIndex`] interval, vs `plain`, the
+/// paper's per-character `Refine` loop — across dictionary sizes. Also
+/// spot-checks that both emit identical factorizations before timing
+/// anything.
 ///
 /// Returns the machine-readable report (`BENCH_factorize.json`).
 pub fn factorize_table(
@@ -346,7 +348,8 @@ pub fn factorize_table(
     println!("{title}");
     println!(
         "(single-threaded; {} MiB corpus; q = {} unless noted; 'plain' = \
-         Refine from the full SA interval every factor)\n",
+         Refine per character from the full SA interval, 'indexed' = one \
+         LCP-skipping search of the whole pattern inside the q-gram interval)\n",
         collection.total_bytes() >> 20,
         rlz_core::Dictionary::DEFAULT_INDEX_Q,
     );

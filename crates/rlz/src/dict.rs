@@ -49,7 +49,8 @@ pub struct Dictionary {
 
 impl Dictionary {
     /// Default q-gram length for the prefix index: a 512 KiB table that
-    /// skips the two widest `Refine` binary searches of every factor.
+    /// starts every factor's search two bytes deep, inside one 2-gram's
+    /// interval.
     pub const DEFAULT_INDEX_Q: usize = 2;
 
     /// Builds a dictionary directly from the given bytes.
@@ -293,9 +294,9 @@ impl Dictionary {
     }
 
     /// Rebuilds the prefix index with a different q-gram length
-    /// (`1..=rlz_suffix::MAX_Q`). Larger q skips more `Refine` steps per
-    /// factor but costs `O(256^q)` table entries; `q = 1` keeps only the
-    /// 2 KiB first-byte table.
+    /// (`1..=rlz_suffix::MAX_Q`). Larger q narrows the interval each
+    /// factor's search starts from but costs `O(256^q)` table entries;
+    /// `q = 1` keeps only the 2 KiB first-byte table.
     pub fn reindex(&mut self, q: usize) {
         if self.index.q() != q {
             self.index = Arc::new(PrefixIndex::build(&self.bytes, &self.sa, q));
@@ -326,10 +327,9 @@ impl Dictionary {
         &self.sa
     }
 
-    /// A longest-match view over the dictionary (un-indexed `Refine` from
-    /// the full interval — the correctness oracle; factorization uses
-    /// [`prefix_index`](Self::prefix_index) alongside it for the fast
-    /// path).
+    /// A longest-match view over the dictionary: `longest_match` is the
+    /// paper's `Refine` loop, the correctness oracle; factorization calls
+    /// `longest_match_indexed` with [`prefix_index`](Self::prefix_index).
     #[inline]
     pub fn matcher(&self) -> Matcher<'_> {
         Matcher::new(&self.bytes, &self.sa)

@@ -63,11 +63,17 @@ impl Factor {
 /// boundaries so each document decodes independently, which is exactly what
 /// a per-document call achieves.
 ///
-/// Longest-match queries go through the dictionary's q-gram
-/// [`PrefixIndex`](rlz_suffix::PrefixIndex), which skips the widest
-/// `Refine` binary searches of every factor; the parse is byte-identical
-/// to [`factorize_plain`], which keeps the paper's un-indexed search as
-/// the correctness oracle and benchmark ablation.
+/// Each factor is one
+/// [`longest_match_indexed`](rlz_suffix::Matcher::longest_match_indexed)
+/// query: the dictionary's q-gram [`PrefixIndex`](rlz_suffix::PrefixIndex)
+/// gives the suffix-array interval of the next `q` bytes, and one binary
+/// search of the remaining document inside it — about `log2(interval)`
+/// word-wise comparisons, not two searches per matched byte — finds the
+/// longest match and the leftmost suffix sharing it. That is the pair the
+/// paper's `Refine` loop ends on, so the parse is byte-identical to
+/// [`factorize_plain`], which keeps that loop as the correctness oracle
+/// and benchmark ablation. Cost is `O(n/ℓ · log m)` comparisons for mean
+/// factor length `ℓ` where the loop's is `O(n log m)`.
 pub fn factorize(dict: &Dictionary, text: &[u8], out: &mut Vec<Factor>) {
     let matcher = dict.matcher();
     let index = dict.prefix_index();
@@ -84,8 +90,8 @@ pub fn factorize(dict: &Dictionary, text: &[u8], out: &mut Vec<Factor>) {
     }
 }
 
-/// [`factorize`] using the un-indexed matcher of the paper (`Refine` from
-/// the full suffix-array interval every factor). Produces the same parse;
+/// [`factorize`] using the un-indexed matcher of the paper (`Refine` per
+/// character from the full suffix-array interval). Produces the same parse;
 /// kept as the correctness oracle for the prefix index and as the baseline
 /// in the factorization-throughput benchmark.
 pub fn factorize_plain(dict: &Dictionary, text: &[u8], out: &mut Vec<Factor>) {

@@ -48,7 +48,7 @@ use crate::segment::{remove_debris, seal_segment, Manifest, SealRecord, SegmentR
 use crate::verify::{load_quarantine, BadUnit, ScrubReport};
 use crate::wal::{FileMedia, FsyncPolicy, Wal, WalMedia, WalOp, WAL_FILE};
 use crate::{read_file, DocStore, Integrity, StoreError, StoreStats};
-use rlz_core::{Dictionary, PairCoding, RlzCompressor};
+use rlz_core::{Dictionary, EncodeScratch, PairCoding, RlzCompressor};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -226,6 +226,16 @@ struct Writer {
     tail: HashMap<u32, TailEntry>,
     tail_bytes: u64,
     next_seg_no: u64,
+    /// Factor list and coded-stream buffers every write's compression
+    /// reuses, so a PUT under the lock allocates only its record.
+    scratch: EncodeScratch,
+}
+
+/// One document's encoded record, compressed through the writer's scratch.
+fn compress_record(compressor: &RlzCompressor, scratch: &mut EncodeScratch, doc: &[u8]) -> Vec<u8> {
+    let mut enc = Vec::new();
+    compressor.compress_with(doc, scratch, &mut enc);
+    enc
 }
 
 struct LiveInner {
@@ -352,6 +362,7 @@ impl LiveStore {
         let mut tail: HashMap<u32, TailEntry> = HashMap::new();
         let mut tail_bytes = 0u64;
         let mut replayed = 0u64;
+        let mut scratch = EncodeScratch::new();
         {
             // Temporary snapshot of the sealed state, for APPEND replay
             // reads of documents that live below the tail.
@@ -373,7 +384,7 @@ impl LiveStore {
                 replayed += 1;
                 match &record.op {
                     WalOp::Put(bytes) => {
-                        let enc = compressor.compress(bytes);
+                        let enc = compress_record(&compressor, &mut scratch, bytes);
                         tail_bytes += enc.len() as u64;
                         tail.insert(next_id, TailEntry::Doc(Arc::new(enc)));
                         next_id += 1;
@@ -402,7 +413,7 @@ impl LiveStore {
                             continue;
                         }
                         doc.extend_from_slice(bytes);
-                        let enc = compressor.compress(&doc);
+                        let enc = compress_record(&compressor, &mut scratch, &doc);
                         tail_bytes += enc.len() as u64;
                         tail.insert(*id, TailEntry::Doc(Arc::new(enc)));
                     }
@@ -435,6 +446,7 @@ impl LiveStore {
             tail,
             tail_bytes,
             next_seg_no,
+            scratch,
         };
         let recovery = RecoveryInfo {
             replayed_frames: replayed,
@@ -681,7 +693,7 @@ impl crate::WriteStore for LiveStore {
         writer.next_seq += 1;
         let id = writer.next_id;
         writer.next_id += 1;
-        let enc = self.inner.compressor.compress(doc);
+        let enc = compress_record(&self.inner.compressor, &mut writer.scratch, doc);
         writer.tail_bytes += enc.len() as u64;
         writer.tail.insert(id, TailEntry::Doc(Arc::new(enc)));
         self.publish(&writer);
@@ -703,7 +715,7 @@ impl crate::WriteStore for LiveStore {
         self.inner.wal_frames.fetch_add(1, Ordering::Relaxed);
         writer.next_seq += 1;
         doc.extend_from_slice(bytes);
-        let enc = self.inner.compressor.compress(&doc);
+        let enc = compress_record(&self.inner.compressor, &mut writer.scratch, &doc);
         writer.tail_bytes += enc.len() as u64;
         writer.tail.insert(id, TailEntry::Doc(Arc::new(enc)));
         self.publish(&writer);

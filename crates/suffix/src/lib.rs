@@ -8,19 +8,23 @@
 //!   algorithm (Nong, Zhang & Chan, 2009). The paper (§3.2) computes the RLZ
 //!   factorization in `O(n log m)` time using the suffix array of the
 //!   dictionary; SA-IS keeps construction itself at `O(m)`.
-//! * [`Matcher`] — the `Refine` operation from Figure 1 of the paper:
-//!   successive binary searches that narrow a suffix-array interval while a
-//!   pattern is extended one character at a time, yielding the longest match
-//!   of a pattern prefix anywhere in the indexed text.
+//! * [`Matcher`] — longest-match queries, two ways with one answer.
+//!   [`Matcher::longest_match`] is the paper's `Refine` loop (Figure 1):
+//!   two binary searches per pattern character, `O(len · log m)` per
+//!   factor; it is the oracle. [`Matcher::longest_match_indexed`] is what
+//!   the factorizer runs: one binary search for the whole pattern, skipping
+//!   the bytes both ends of the range already share and comparing eight at
+//!   a time — about `log2(interval)` probes per factor — then a short walk
+//!   to the leftmost suffix sharing the match, so position and length are
+//!   exactly `Refine`'s.
 //! * [`PrefixIndex`] — a q-gram prefix-interval table (default `q = 2`)
 //!   that maps the first `q` bytes of a pattern straight to its suffix-array
-//!   interval, so [`Matcher::longest_match_indexed`] skips the `q` widest
-//!   `Refine` binary searches — the dominant cost of RLZ factorization. The
-//!   table holds `O(σ^q)` interval entries (8 bytes each): 2 KiB at `q = 1`,
-//!   512 KiB at `q = 2`, 128 MiB at `q = 3`, independent of the text size.
-//!   A 256-entry first-byte table covers patterns shorter than `q` and
-//!   leading q-grams absent from the text. Results are byte-identical to
-//!   the un-indexed matcher.
+//!   interval, so the search starts `q` bytes deep in a range a few hundred
+//!   ranks wide instead of at `[0, m-1]`. The table holds `O(σ^q)` interval
+//!   entries (8 bytes each): 2 KiB at `q = 1`, 512 KiB at `q = 2`, 128 MiB
+//!   at `q = 3`, independent of the text size. A 256-entry first-byte table
+//!   covers patterns shorter than `q` and leading q-grams absent from the
+//!   text. It is the only index beside the suffix array itself.
 //! * [`lcp`] — longest-common-prefix arrays (Kasai's algorithm), used by the
 //!   dictionary-usage statistics and by tests.
 //! * [`naive`] — an obviously-correct `O(n² log n)` reference construction,

@@ -1,11 +1,37 @@
-//! Longest-match queries against a suffix array: the `Refine` primitive of
-//! Figure 1 in the paper.
+//! Longest-match queries against a suffix array.
 //!
 //! The RLZ factorizer repeatedly asks "what is the longest prefix of the
-//! remaining document that occurs anywhere in the dictionary?". With the
-//! dictionary's suffix array this is answered by maintaining an interval
-//! `[lb, rb]` of suffixes that match the pattern read so far and narrowing it
-//! with two binary searches per added character — `O(len · log m)` per query.
+//! remaining document that occurs anywhere in the dictionary, and where?".
+//! [`Matcher`] answers it two ways, and the answers are the same pair:
+//!
+//! * [`Matcher::longest_match`] is the paper's algorithm, kept as the
+//!   oracle: [`Matcher::refine`] (Figure 1) narrows the interval of suffixes
+//!   matching the pattern read so far with two binary searches per added
+//!   character, `O(len · log m)` dependent probes per query. It stops at
+//!   the interval of every suffix sharing the longest match `L` and reports
+//!   that interval's leftmost rank.
+//! * [`Matcher::longest_match_indexed`] is what the factorizer runs: one
+//!   binary search for the *whole* pattern inside the interval the
+//!   [`PrefixIndex`] hands back, about `log2(interval)` probes per query.
+//!   Each probe compares the pattern against a suffix eight bytes at a
+//!   time and starts at `min(llcp, rlcp)`, the bytes both ends of the
+//!   remaining range are already known to share with the pattern (Manber &
+//!   Myers). A suffix that ends inside the pattern sorts before it, the
+//!   same rule as `Refine`'s end-of-suffix character. The longest match is
+//!   a lexicographic neighbour of the pattern, so `L` is the better of the
+//!   two ranks around the insertion point. If only the right neighbour
+//!   reaches `L` it is the leftmost suffix sharing `pattern[..L]`;
+//!   otherwise a doubling search walks left from the left neighbour to the
+//!   start of that interval, `2 · log2(width)` probes at most. On web text
+//!   sampled at 1/128 the interval is narrow but not trivial: 29 % of
+//!   factors have one rank, half at most four, a fifth more than sixteen.
+//!   Either way the result is `Refine`'s: `(sa[leftmost rank sharing
+//!   pattern[..L]], L)`.
+//!
+//! Worst case for the whole-pattern search is `O(L · log m)` bytes compared
+//! (a periodic text where one end of the range never moves), which is what
+//! the refine loop pays on every query; the unit tests pin that bound with
+//! a byte counter on `(ab)^n` and `a^n` dictionaries.
 
 use crate::{PrefixIndex, SuffixArray};
 
@@ -90,154 +116,29 @@ impl<'a> Matcher<'a> {
         Some((new_lb, lo - 1))
     }
 
-    /// Variant of [`Matcher::refine`] that uses galloping (exponential)
-    /// search from the interval edges instead of plain binary search.
-    ///
-    /// This is an ablation of the paper's design: when intervals shrink
-    /// quickly, probing near the boundary first can beat bisection.
-    pub fn refine_galloping(
-        &self,
-        lb: usize,
-        rb: usize,
-        depth: usize,
-        c: u8,
-    ) -> Option<(usize, usize)> {
-        debug_assert!(lb <= rb && rb < self.sa.len());
-        let target = c as i32;
-        // Gallop for the lower bound from lb upward.
-        let mut step = 1usize;
-        let mut lo = lb;
-        let hi = rb + 1;
-        while lo < hi && self.char_at(self.sa[lo], depth) < target {
-            let next = (lo + step).min(hi);
-            if next == hi || self.char_at(self.sa[next.min(rb)], depth) >= target {
-                // Bisect within (lo, next].
-                let mut l = lo + 1;
-                let mut h = next;
-                while l < h {
-                    let mid = l + (h - l) / 2;
-                    if self.char_at(self.sa[mid], depth) < target {
-                        l = mid + 1;
-                    } else {
-                        h = mid;
-                    }
-                }
-                lo = l;
-                break;
-            }
-            lo = next;
-            step *= 2;
-        }
-        let new_lb = lo;
-        if new_lb > rb || self.char_at(self.sa[new_lb], depth) != target {
-            return None;
-        }
-        // Gallop for the upper bound from rb downward.
-        let mut step = 1usize;
-        let mut hi = rb;
-        loop {
-            if self.char_at(self.sa[hi], depth) <= target {
-                break;
-            }
-            let next = hi.saturating_sub(step).max(new_lb);
-            if self.char_at(self.sa[next], depth) <= target {
-                // Bisect within [next, hi): first index > target.
-                let mut l = next;
-                let mut h = hi;
-                while l < h {
-                    let mid = l + (h - l) / 2;
-                    if self.char_at(self.sa[mid], depth) <= target {
-                        l = mid + 1;
-                    } else {
-                        h = mid;
-                    }
-                }
-                hi = l - 1;
-                break;
-            }
-            hi = next;
-            step *= 2;
-        }
-        Some((new_lb, hi))
-    }
-
-    /// Longest prefix of `pattern` occurring anywhere in the indexed text.
+    /// Longest prefix of `pattern` occurring anywhere in the indexed text,
+    /// by the paper's refine loop from the full interval.
     ///
     /// Returns `(position, length)`; `length == 0` means not even
     /// `pattern[0]` occurs in the text (the factorizer then emits a literal).
     pub fn longest_match(&self, pattern: &[u8]) -> (u32, u32) {
-        self.longest_match_impl(pattern, false)
-    }
-
-    /// [`Matcher::longest_match`] using the galloping `Refine` variant.
-    pub fn longest_match_galloping(&self, pattern: &[u8]) -> (u32, u32) {
-        self.longest_match_impl(pattern, true)
-    }
-
-    /// [`Matcher::longest_match`] fast-pathed through a [`PrefixIndex`]:
-    /// the index hands back the interval `Refine` would reach after its
-    /// first `q` steps, so the widest binary searches are skipped entirely.
-    ///
-    /// Produces byte-identical results to [`Matcher::longest_match`] — the
-    /// index interval is exactly the one the refine loop computes, so both
-    /// the match position and length agree (the property the RLZ store
-    /// relies on: indexed and plain builds emit identical factorizations).
-    ///
-    /// `index` must have been built over this matcher's text.
-    pub fn longest_match_indexed(&self, index: &PrefixIndex, pattern: &[u8]) -> (u32, u32) {
-        debug_assert_eq!(
-            index.text_len(),
-            self.text.len(),
-            "prefix index built over a different text"
-        );
-        if self.sa.is_empty() || pattern.is_empty() {
+        if self.sa.is_empty() {
             return (0, 0);
         }
-        match index.lookup(pattern) {
-            Some((lb, rb, depth)) => self.longest_match_from(pattern, lb, rb, depth, false),
-            None => (0, 0),
-        }
-    }
-
-    #[inline]
-    fn longest_match_impl(&self, pattern: &[u8], gallop: bool) -> (u32, u32) {
-        if self.sa.is_empty() || pattern.is_empty() {
-            return (0, 0);
-        }
-        self.longest_match_from(pattern, 0, self.sa.len() - 1, 0, gallop)
-    }
-
-    /// The refine loop, resumable from any valid state: every suffix in
-    /// `[lb, rb]` must already match `pattern[..depth]`.
-    #[inline]
-    fn longest_match_from(
-        &self,
-        pattern: &[u8],
-        mut lb: usize,
-        mut rb: usize,
-        mut depth: usize,
-        gallop: bool,
-    ) -> (u32, u32) {
+        let (mut lb, mut rb, mut depth) = (0, self.sa.len() - 1, 0);
         while depth < pattern.len() {
             if lb == rb {
                 // Single candidate left: extend by direct comparison, the
                 // short-circuit in the paper's Factor().
-                let start = self.sa[lb] as usize;
-                let rest = &self.text[start + depth..];
-                let extra = rest
+                let rest = &self.text[self.sa[lb] as usize + depth..];
+                depth += rest
                     .iter()
                     .zip(&pattern[depth..])
                     .take_while(|(a, b)| a == b)
                     .count();
-                depth += extra;
                 break;
             }
-            let narrowed = if gallop {
-                self.refine_galloping(lb, rb, depth, pattern[depth])
-            } else {
-                self.refine(lb, rb, depth, pattern[depth])
-            };
-            match narrowed {
+            match self.refine(lb, rb, depth, pattern[depth]) {
                 Some((l, r)) => {
                     lb = l;
                     rb = r;
@@ -252,6 +153,125 @@ impl<'a> Matcher<'a> {
             (self.sa[lb], depth as u32)
         }
     }
+
+    /// [`Matcher::longest_match`] as one whole-pattern binary search inside
+    /// the interval `index` returns for the pattern's first bytes (see the
+    /// module docs). Same position, same length: indexed and plain builds
+    /// emit identical factorizations.
+    ///
+    /// `index` must have been built over this matcher's text.
+    pub fn longest_match_indexed(&self, index: &PrefixIndex, pattern: &[u8]) -> (u32, u32) {
+        debug_assert_eq!(
+            index.text_len(),
+            self.text.len(),
+            "prefix index built over a different text"
+        );
+        let Some((lb, rb, depth)) = index.lookup(pattern) else {
+            return (0, 0);
+        };
+        // Lower bound of `pattern` in [lb, rb]: ranks below `lo` sort
+        // before the pattern, ranks from `hi` up do not. `llcp` / `rlcp`
+        // are what ranks `lo - 1` / `hi` share with the pattern, exact once
+        // that end has moved and the index's `depth` until then.
+        let (mut lo, mut hi) = (lb, rb + 1);
+        let (mut llcp, mut rlcp) = (depth, depth);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let (lcp, less) = self.compare(self.sa[mid], pattern, llcp.min(rlcp));
+            if less {
+                lo = mid + 1;
+                llcp = lcp;
+            } else {
+                hi = mid;
+                rlcp = lcp;
+            }
+        }
+        if hi <= rb && (lo == lb || rlcp > llcp) {
+            // The left neighbour shares less, so `hi` starts the interval.
+            return (self.sa[hi], rlcp as u32);
+        }
+        let rank = self.leftmost_sharing(&pattern[..llcp], lb, lo - 1, depth);
+        (self.sa[rank], llcp as u32)
+    }
+
+    /// The smallest rank in `[lb, best]` whose suffix starts with `prefix`,
+    /// given that rank `best`'s does. Every suffix in the range must share
+    /// `prefix[..known]` and sort before the pattern `prefix` was cut from,
+    /// so what a suffix shares with `prefix` never falls as the rank rises.
+    fn leftmost_sharing(&self, prefix: &[u8], lb: usize, best: usize, mut known: usize) -> usize {
+        let shared = |rank: usize, known: usize| self.compare(self.sa[rank], prefix, known).0;
+        let (mut lo, mut hi) = (lb, best);
+        // Doubling steps left from `best` until a rank falls outside...
+        let mut step = 1;
+        while lo < hi {
+            let probe = hi.saturating_sub(step).max(lo);
+            let lcp = shared(probe, known);
+            if lcp < prefix.len() {
+                lo = probe + 1;
+                known = lcp;
+                break;
+            }
+            hi = probe;
+            step *= 2;
+        }
+        // ...then bisect between it and the last rank inside.
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let lcp = shared(mid, known);
+            if lcp < prefix.len() {
+                lo = mid + 1;
+                known = lcp;
+            } else {
+                hi = mid;
+            }
+        }
+        hi
+    }
+
+    /// Compares the suffix starting at `suffix` with `pattern`, both known
+    /// to agree on their first `from` bytes: the length of their common
+    /// prefix, and whether the suffix sorts strictly before the pattern (a
+    /// suffix that ends inside the pattern does; one the pattern is a
+    /// prefix of does not).
+    #[inline]
+    fn compare(&self, suffix: u32, pattern: &[u8], from: usize) -> (usize, bool) {
+        let suffix = &self.text[suffix as usize..];
+        let lcp = from + common_prefix(&suffix[from..], &pattern[from..]);
+        #[cfg(test)]
+        BYTES_COMPARED.with(|n| n.set(n.get() + (lcp - from) as u64 + 1));
+        let less = match (suffix.get(lcp), pattern.get(lcp)) {
+            (_, None) => false,
+            (None, Some(_)) => true,
+            (Some(s), Some(p)) => s < p,
+        };
+        (lcp, less)
+    }
+}
+
+/// Length of the longest common prefix of `a` and `b`, eight bytes a step.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut n = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("chunks_exact(8)"));
+        let y = u64::from_le_bytes(y.try_into().expect("chunks_exact(8)"));
+        if x != y {
+            return n + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + a[n..]
+        .iter()
+        .zip(&b[n..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes `Matcher::compare` has looked at on this thread (one per call
+    /// for the deciding byte, plus the common prefix it walked).
+    static BYTES_COMPARED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -361,17 +381,11 @@ mod tests {
         ];
         for p in patterns {
             let (pos, len) = m.longest_match(p);
-            let (gpos, glen) = m.longest_match_galloping(p);
             assert_eq!(len, brute_longest(text, p), "pattern {:?}", p);
-            assert_eq!(glen, len, "galloping length for {:?}", p);
             if len > 0 {
                 assert_eq!(
                     &text[pos as usize..pos as usize + len as usize],
                     &p[..len as usize]
-                );
-                assert_eq!(
-                    &text[gpos as usize..gpos as usize + glen as usize],
-                    &p[..glen as usize]
                 );
             }
         }
@@ -421,27 +435,46 @@ mod tests {
     }
 
     #[test]
-    fn galloping_refine_matches_plain_refine() {
-        // Refine requires that [lb, rb] already matches the pattern up to
-        // `depth`, so walk both variants through valid narrowing sequences.
-        let text = b"mississippi river missions misses the mark";
-        let sa = SuffixArray::build(text);
-        let m = Matcher::new(text, &sa);
-        let n = text.len();
-        let patterns: &[&[u8]] = &[b"miss", b"issi", b"s th", b"river", b"zq", b"  ", b"mark!"];
-        for p in patterns {
-            let (mut lb, mut rb) = (0usize, n - 1);
-            for (depth, &c) in p.iter().enumerate() {
-                let plain = m.refine(lb, rb, depth, c);
-                let gallop = m.refine_galloping(lb, rb, depth, c);
-                assert_eq!(plain, gallop, "pattern {:?} depth {}", p, depth);
-                match plain {
-                    Some((l, r)) => {
-                        lb = l;
-                        rb = r;
-                    }
-                    None => break,
-                }
+    fn periodic_dictionaries_compare_a_bounded_number_of_bytes() {
+        // Runs are where a whole-pattern search could go quadratic: every
+        // suffix of (ab)^n or a^n shares a long prefix with a periodic
+        // pattern, and the interval sharing the longest match is tens of
+        // thousands of ranks wide. The bound is three searches (the
+        // pattern's lower bound, the doubling walk left, its bisect) of at
+        // most log2(m) probes, each over at most the match and one deciding
+        // byte — the order of the refine loop's two searches per matched
+        // byte. Bytes are counted, not timed.
+        let ab = b"ab".repeat(1 << 16);
+        let aa = vec![b'a'; 1 << 17];
+        for text in [&ab, &aa] {
+            let sa = SuffixArray::build(text);
+            let m = Matcher::new(text, &sa);
+            let idx = PrefixIndex::build(text, &sa, 2);
+            let log_m = text.len().ilog2() as u64;
+            let unit = &text[..2];
+            let mut patterns = Vec::new();
+            for reps in [1usize, 7, 1000, (1 << 15) + 1, 1 << 16, (1 << 16) + 9] {
+                let run = unit.repeat(reps);
+                patterns.push(run.clone());
+                patterns.push([&run[..], b"x"].concat());
+                patterns.push([&run[..], b"\0"].concat());
+                patterns.push(run[1..].to_vec());
+            }
+            for p in &patterns {
+                BYTES_COMPARED.with(|n| n.set(0));
+                let (pos, len) = m.longest_match_indexed(&idx, p);
+                let compared = BYTES_COMPARED.with(|n| n.get());
+                assert_eq!(
+                    (pos, len),
+                    m.longest_match(p),
+                    "pattern of {} bytes",
+                    p.len()
+                );
+                let bound = 3 * log_m * (u64::from(len) + 1);
+                assert!(
+                    compared <= bound,
+                    "{compared} bytes compared for a {len}-byte match, bound {bound}"
+                );
             }
         }
     }

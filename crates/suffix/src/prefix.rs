@@ -1,19 +1,17 @@
 //! A q-gram prefix-interval index over a suffix array.
 //!
-//! The RLZ factorizer's `Refine` loop ([`crate::Matcher`]) restarts every
-//! longest-match query at the full interval `[0, m-1]` and pays one whole
-//! array binary search per character until the interval narrows. The first
-//! few `Refine` steps are by far the most expensive: they bisect the widest
-//! intervals, touching `O(log m)` cache-cold suffix-array entries each.
-//!
-//! [`PrefixIndex`] removes them. It precomputes, for every q-gram, the
-//! suffix-array interval of the suffixes starting with that q-gram — the
-//! exact interval `Refine` would reach after `q` steps. A longest-match
-//! query then starts directly at depth `q`, skipping the `q` widest binary
-//! searches. A 256-entry first-byte table serves as fallback for patterns
-//! shorter than `q` and for patterns whose leading q-gram does not occur in
-//! the text (the longest match, if any, is then shorter than `q`, and the
-//! plain refine loop resumes from depth 1).
+//! A longest-match query is a search of the suffix array for the pattern;
+//! from the full interval `[0, m-1]` its first probes bisect the widest
+//! ranges and learn the least. [`PrefixIndex`] answers them ahead of time.
+//! It precomputes, for every q-gram, the suffix-array interval of the
+//! suffixes starting with that q-gram — the exact interval the paper's
+//! `Refine` reaches after `q` steps — so
+//! [`Matcher::longest_match_indexed`](crate::Matcher::longest_match_indexed)
+//! searches only inside it, already `q` bytes deep. A 256-entry first-byte
+//! table serves as fallback for patterns shorter than `q` and for patterns
+//! whose leading q-gram does not occur in the text (the longest match, if
+//! any, is then shorter than `q`, and the same search runs from the depth-1
+//! interval).
 //!
 //! Memory cost: `σ^q + σ` interval entries of 8 bytes, i.e. 2 KiB for
 //! `q = 1`, 512 KiB for the default `q = 2`, and 128 MiB for `q = 3` —
@@ -40,8 +38,8 @@ struct Interval {
 const NO_SUFFIX: Interval = Interval { lb: EMPTY, rb: 0 };
 
 /// Maps the first `q` bytes of a pattern to the suffix-array interval of
-/// suffixes sharing that prefix, letting longest-match queries skip the
-/// `q` widest `Refine` binary searches.
+/// suffixes sharing that prefix, the range a longest-match query then
+/// searches.
 ///
 /// Build once per indexed text and share freely: lookups take `&self` and
 /// the index is immutable, `Send` and `Sync`.
@@ -138,7 +136,7 @@ impl PrefixIndex {
                 return Some((iv.lb as usize, iv.rb as usize, self.q));
             }
             // The leading q-gram is absent: any match is shorter than q.
-            // Resume the refine loop from the first-byte interval.
+            // Search the first-byte interval instead.
         }
         let iv = self.first[b0 as usize];
         (iv.lb != EMPTY).then_some((iv.lb as usize, iv.rb as usize, 1))

@@ -56,14 +56,6 @@ proptest! {
                 &pattern[..len as usize]
             );
         }
-        let (gpos, glen) = m.longest_match_galloping(&pattern);
-        prop_assert_eq!(glen, len);
-        if glen > 0 {
-            prop_assert_eq!(
-                &text[gpos as usize..gpos as usize + glen as usize],
-                &pattern[..glen as usize]
-            );
-        }
     }
 
     #[test]
@@ -92,6 +84,47 @@ proptest! {
                     &p[..len as usize]
                 );
             }
+        }
+    }
+
+    #[test]
+    fn indexed_search_equals_refine_on_run_heavy_texts(
+        // 2-4 symbols in long runs: wide intervals sharing the longest
+        // match, so the walk to the leftmost rank does real work.
+        sigma in 2u8..=4,
+        text_runs in proptest::collection::vec((0u8..4, 1usize..40), 0..24),
+        pattern_runs in proptest::collection::vec((0u8..4, 1usize..40), 1..8),
+        start in any::<prop::sample::Index>(),
+        q in 1usize..=3,
+    ) {
+        let expand = |runs: &[(u8, usize)]| -> Vec<u8> {
+            runs.iter()
+                .flat_map(|&(symbol, len)| std::iter::repeat_n(symbol % sigma, len))
+                .collect()
+        };
+        let text = expand(&text_runs);
+        let sa = SuffixArray::build(&text);
+        let m = Matcher::new(&text, &sa);
+        let idx = PrefixIndex::build(&text, &sa, q);
+        let suffix = &text[start.index(text.len() + 1)..];
+        let tail = expand(&pattern_runs);
+        let absent = 0xEEu8;
+        let patterns = [
+            // A whole suffix of the text, and one that runs past its end.
+            suffix.to_vec(),
+            [suffix, &tail[..]].concat(),
+            // Runs of the text's own symbols.
+            tail.clone(),
+            // A byte the text lacks: first, inside the leading q-gram,
+            // and after a long match.
+            [&[absent][..], &tail[..]].concat(),
+            [&tail[..1], &[absent][..], &tail[..]].concat(),
+            [suffix, &[absent][..]].concat(),
+        ];
+        for p in &patterns {
+            let got = m.longest_match_indexed(&idx, p);
+            prop_assert_eq!(got, m.longest_match(p), "q={} text={:?} pattern={:?}", q, &text, p);
+            prop_assert_eq!(got.1, brute_longest(&text, p));
         }
     }
 
