@@ -78,15 +78,29 @@ impl BitWriter {
 }
 
 /// Reads bits LSB-first from a byte slice, tracking exact consumption.
+///
+/// The accumulator is refilled a 64-bit word at a time while at least 8
+/// input bytes remain, and a byte at a time over the last 7. The low
+/// `nbits` bits are buffered input; each bit above them is either zero or
+/// the input bit that follows (a word refill ORs in a partial byte it does
+/// not count, and the next refill ORs in the same bits again). After
+/// [`BitReader::top_up`] at least [`TOP_UP_BITS`] bits are buffered unless
+/// the input ends first.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     data: &'a [u8],
-    /// Next byte to load into the accumulator.
+    /// Next byte to count into `nbits`; every earlier byte is buffered or
+    /// consumed.
     next_byte: usize,
     acc: u64,
+    /// Buffered bits, at most 63.
     nbits: u32,
-    consumed_bits: u64,
 }
+
+/// Bits [`BitReader::top_up`] guarantees while the input lasts: a refill
+/// counts whole bytes into a 64-bit accumulator, so 56 is the most it can
+/// promise from any starting fill.
+pub const TOP_UP_BITS: u32 = 56;
 
 impl<'a> BitReader<'a> {
     /// Creates a reader over `data`.
@@ -96,36 +110,78 @@ impl<'a> BitReader<'a> {
             next_byte: 0,
             acc: 0,
             nbits: 0,
-            consumed_bits: 0,
         }
+    }
+
+    /// Fills the accumulator with as many whole input bytes as fit (at
+    /// least [`TOP_UP_BITS`] bits while the input lasts) and returns the
+    /// number of bits now buffered. Bits from [`BitReader::take`] and
+    /// [`BitReader::peek_buffered`] may be drawn up to that count without
+    /// further checks.
+    #[inline]
+    pub fn top_up(&mut self) -> u32 {
+        let at = self.next_byte;
+        if let Some(word) = self.data.get(at..at + 8) {
+            // Counts the (63 - nbits) / 8 whole bytes that fit, which makes
+            // `nbits` 56 + nbits % 8; already-counted bits are ORed in
+            // again unchanged.
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+            self.acc |= word << self.nbits;
+            self.next_byte += ((63 - self.nbits) / 8) as usize;
+            self.nbits |= TOP_UP_BITS;
+        } else {
+            while self.nbits < TOP_UP_BITS {
+                let Some(&b) = self.data.get(self.next_byte) else {
+                    break;
+                };
+                self.acc |= (b as u64) << self.nbits;
+                self.nbits += 8;
+                self.next_byte += 1;
+            }
+        }
+        self.nbits
+    }
+
+    /// Bits currently buffered: what [`BitReader::take`] may draw without
+    /// a [`BitReader::top_up`].
+    #[inline]
+    pub fn buffered(&self) -> u32 {
+        self.nbits
     }
 
     #[inline]
     fn refill(&mut self, need: u32) -> Result<()> {
-        while self.nbits < need {
-            let Some(&b) = self.data.get(self.next_byte) else {
-                return Err(CodecError::UnexpectedEof);
-            };
-            self.acc |= (b as u64) << self.nbits;
-            self.nbits += 8;
-            self.next_byte += 1;
+        if self.nbits < need && self.top_up() < need {
+            return Err(CodecError::UnexpectedEof);
         }
         Ok(())
+    }
+
+    /// Returns the next `n` buffered bits without consuming them. The
+    /// caller guarantees `n` is at most what [`BitReader::top_up`] last
+    /// reported, less what it has taken since.
+    #[inline]
+    pub fn peek_buffered(&self, n: u32) -> u64 {
+        debug_assert!(n <= self.nbits && n <= MAX_BITS);
+        self.acc & !(u64::MAX << n)
+    }
+
+    /// Consumes and returns the next `n` buffered bits, under the same
+    /// guarantee as [`BitReader::peek_buffered`].
+    #[inline]
+    pub fn take(&mut self, n: u32) -> u64 {
+        let v = self.peek_buffered(n);
+        self.acc >>= n;
+        self.nbits -= n;
+        v
     }
 
     /// Reads `n` bits (`n <= 56`), least significant first.
     #[inline]
     pub fn read_bits(&mut self, n: u32) -> Result<u64> {
         debug_assert!(n <= MAX_BITS);
-        if n == 0 {
-            return Ok(0);
-        }
         self.refill(n)?;
-        let v = self.acc & (u64::MAX >> (64 - n));
-        self.acc >>= n;
-        self.nbits -= n;
-        self.consumed_bits += n as u64;
-        Ok(v)
+        Ok(self.take(n))
     }
 
     /// Reads a unary code: the count of zero bits before the next one bit.
@@ -135,16 +191,12 @@ impl<'a> BitReader<'a> {
         loop {
             self.refill(1)?;
             if self.acc & 1 == 1 {
-                self.acc >>= 1;
-                self.nbits -= 1;
-                self.consumed_bits += 1;
+                self.take(1);
                 return Ok(count);
             }
             // Skip a run of zeros currently buffered.
             let zeros = (self.acc.trailing_zeros()).min(self.nbits);
-            self.acc >>= zeros;
-            self.nbits -= zeros;
-            self.consumed_bits += zeros as u64;
+            self.take(zeros);
             count = count
                 .checked_add(zeros)
                 .ok_or(CodecError::Corrupt("unary run overflows u32"))?;
@@ -158,19 +210,12 @@ impl<'a> BitReader<'a> {
     #[inline]
     pub fn peek_bits_padded(&mut self, n: u32) -> u64 {
         debug_assert!(n <= MAX_BITS);
-        while self.nbits < n {
-            let Some(&b) = self.data.get(self.next_byte) else {
-                break;
-            };
-            self.acc |= (b as u64) << self.nbits;
-            self.nbits += 8;
-            self.next_byte += 1;
+        if self.nbits < n {
+            self.top_up();
         }
-        if n == 0 {
-            0
-        } else {
-            self.acc & (u64::MAX >> (64 - n))
-        }
+        // Bits above `nbits` are zero or the input bits that follow; past
+        // the end of input they are zero, the padding.
+        self.acc & !(u64::MAX << n)
     }
 
     /// Consumes `n` bits previously seen via [`BitReader::peek_bits_padded`].
@@ -180,36 +225,29 @@ impl<'a> BitReader<'a> {
         if n > self.nbits {
             return Err(CodecError::UnexpectedEof);
         }
-        self.acc >>= n;
-        self.nbits -= n;
-        self.consumed_bits += n as u64;
+        self.take(n);
         Ok(())
     }
 
     /// Discards bits up to the next byte boundary of the underlying input.
     #[inline]
     pub fn align_byte(&mut self) {
-        let rem = (self.consumed_bits % 8) as u32;
-        if rem != 0 {
-            let drop = 8 - rem;
-            debug_assert!(self.nbits >= drop);
-            self.acc >>= drop;
-            self.nbits -= drop;
-            self.consumed_bits += drop as u64;
-        }
+        // Buffered bits are the tail of whole counted bytes, so the partial
+        // byte's remainder is exactly `nbits % 8` bits.
+        self.take(self.nbits % 8);
     }
 
     /// Total bits consumed by reads so far.
     #[inline]
     pub fn bits_consumed(&self) -> u64 {
-        self.consumed_bits
+        self.next_byte as u64 * 8 - self.nbits as u64
     }
 
     /// Bytes consumed, rounding the final partial byte up (matching the
     /// writer's padding).
     #[inline]
     pub fn bytes_consumed(&self) -> usize {
-        self.consumed_bits.div_ceil(8) as usize
+        self.bits_consumed().div_ceil(8) as usize
     }
 }
 

@@ -2,8 +2,8 @@
 //! bit reader/writer are exact inverses.
 
 use proptest::prelude::*;
-use rlz_codecs::bitio::{BitReader, BitWriter};
-use rlz_codecs::{all_codecs, zigzag_decode, zigzag_encode};
+use rlz_codecs::bitio::{BitReader, BitWriter, TOP_UP_BITS};
+use rlz_codecs::{all_codecs, zigzag_decode, zigzag_encode, CodecError};
 
 proptest! {
     #[test]
@@ -68,6 +68,84 @@ proptest! {
         for &(v, n) in &fields {
             let mask = u64::MAX >> (64 - n);
             prop_assert_eq!(r.read_bits(n).unwrap(), v & mask);
+        }
+    }
+
+    #[test]
+    fn bitreader_matches_a_bit_model_across_the_refill_switch(
+        fields in proptest::collection::vec((any::<u64>(), 1u32..=56), 0..16),
+        ops in proptest::collection::vec((0u8..5, 0u32..=56), 1..80),
+    ) {
+        // Inputs of 0..112 bytes and scripts that usually read past their
+        // end: every script crosses from 64-bit word refills to the byte
+        // refills of the last 7 input bytes, at every alignment. A bit-
+        // at-a-time model over the same bytes fixes each value, the bits
+        // consumed, and exactly when the input runs out.
+        let mut w = BitWriter::new();
+        for &(v, n) in &fields {
+            w.write_bits(v, n);
+        }
+        let bytes = w.finish();
+        let total = bytes.len() as u64 * 8;
+        let bit = |i: u64| {
+            if i < total {
+                (bytes[(i / 8) as usize] >> (i % 8)) as u64 & 1
+            } else {
+                0
+            }
+        };
+        let model = |pos: u64, n: u32| (0..n as u64).fold(0u64, |acc, k| acc | bit(pos + k) << k);
+        let eof = Some(CodecError::UnexpectedEof);
+        let mut r = BitReader::new(&bytes);
+        let mut pos = 0u64;
+        for &(op, n) in &ops {
+            match op {
+                0 => {
+                    // A failed read consumes nothing.
+                    let got = r.read_bits(n);
+                    if pos + n as u64 > total {
+                        prop_assert_eq!(got.err(), eof);
+                    } else {
+                        prop_assert_eq!(got, Ok(model(pos, n)));
+                        pos += n as u64;
+                    }
+                }
+                1 => {
+                    prop_assert_eq!(r.peek_bits_padded(n), model(pos, n));
+                    let m = n / 2;
+                    let got = r.consume_bits(m);
+                    if pos + m as u64 > total {
+                        prop_assert_eq!(got.err(), eof);
+                    } else {
+                        prop_assert_eq!(got, Ok(()));
+                        pos += m as u64;
+                    }
+                }
+                2 => {
+                    let Some(one) = (pos..total).find(|&i| bit(i) == 1) else {
+                        // Out of input mid-run: the reader's position
+                        // inside the run is unspecified, so stop here.
+                        prop_assert_eq!(r.read_unary().err(), eof);
+                        break;
+                    };
+                    prop_assert_eq!(r.read_unary(), Ok((one - pos) as u32));
+                    pos = one + 1;
+                }
+                3 => {
+                    r.align_byte();
+                    pos = pos.div_ceil(8) * 8;
+                }
+                _ => {
+                    let buffered = r.top_up() as u64;
+                    prop_assert!(buffered <= 63 && buffered <= total - pos);
+                    prop_assert!(buffered >= (total - pos).min(TOP_UP_BITS as u64));
+                    let k = n.min(buffered as u32);
+                    prop_assert_eq!(r.take(k), model(pos, k));
+                    pos += k as u64;
+                }
+            }
+            prop_assert_eq!(r.bits_consumed(), pos);
+            prop_assert_eq!(r.bytes_consumed() as u64, pos.div_ceil(8));
         }
     }
 

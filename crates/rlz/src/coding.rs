@@ -37,7 +37,8 @@
 //!   baseline and benchmark ablation.
 //! * **Fused** — [`decode_and_expand_scratch`] decodes both integer
 //!   streams into a caller-owned [`DecodeScratch`] (two `u32` buffers plus
-//!   one inflate buffer for the `Z` coders), validates every factor extent
+//!   the compressing coders' inflate buffer and reusable `Z`/`F` decode
+//!   tables), validates every factor extent
 //!   against the dictionary in a single pre-pass that also sums the
 //!   expanded length, reserves `out` once, and then runs a
 //!   branch-minimized copy loop: factors of ≤ 16 bytes (the overwhelming
@@ -192,26 +193,26 @@ impl Coder {
     /// Decodes exactly `n` values from `data`.
     pub fn decode_stream(&self, data: &[u8], n: usize) -> Result<Vec<u32>, CodecError> {
         let mut out = Vec::new();
-        let mut inflate = Vec::new();
-        let mut fse = rlz_fse::FseScratch::default();
-        self.decode_stream_into(data, n, &mut out, &mut inflate, &mut fse)?;
+        self.decode_stream_into(data, n, &mut out, &mut StreamScratch::default())?;
         Ok(out)
     }
 
     /// Decodes exactly `n` values from `data` into `out`, **replacing** its
-    /// contents while reusing its capacity. `inflate` is the staging buffer
-    /// the `Z`, `F` and `L` coders decompress into and `fse` holds the `F`
-    /// coder's reusable state table (both reused the same way); the other
-    /// coders leave them untouched. The zero-allocation entry point of the
-    /// fused decode pipeline (see the module docs).
+    /// contents while reusing its capacity and `stage`'s buffers and
+    /// tables. The zero-allocation entry point of the fused decode pipeline
+    /// (see the module docs).
     pub fn decode_stream_into(
         &self,
         data: &[u8],
         n: usize,
         out: &mut Vec<u32>,
-        inflate: &mut Vec<u8>,
-        fse: &mut rlz_fse::FseScratch,
+        stage: &mut StreamScratch,
     ) -> Result<(), CodecError> {
+        let StreamScratch {
+            inflate,
+            fse,
+            zlite,
+        } = stage;
         match self {
             Coder::U32 => fixed::FixedU32.decode_into(data, n, out).map(drop),
             Coder::VByte => vbyte::VByte.decode_into(data, n, out).map(drop),
@@ -222,7 +223,7 @@ impl Coder {
             Coder::Gamma => elias::EliasGamma.decode_into(data, n, out).map(drop),
             Coder::Delta => elias::EliasDelta.decode_into(data, n, out).map(drop),
             Coder::Zlib => {
-                rlz_zlite::decompress_into(data, inflate)?;
+                rlz_zlite::decompress_into(data, inflate, zlite)?;
                 if Some(inflate.len()) != n.checked_mul(4) {
                     return Err(CodecError::Corrupt("Z stream count mismatch"));
                 }
@@ -247,6 +248,16 @@ impl Coder {
             }
         }
     }
+}
+
+/// Reusable state of the compressing coders' decoders: the buffer the `Z`,
+/// `F` and `L` coders decompress into, the `F` coder's state table and the
+/// `Z` coder's Huffman tables. The other coders leave it untouched.
+#[derive(Debug, Default)]
+pub struct StreamScratch {
+    inflate: Vec<u8>,
+    fse: rlz_fse::FseScratch,
+    zlite: rlz_zlite::InflateScratch,
 }
 
 thread_local! {
@@ -482,19 +493,19 @@ pub fn decode_streams(data: &[u8], coding: PairCoding) -> Result<(Vec<u32>, Vec<
 }
 
 /// Reusable buffers for the fused decode pipeline: the position and length
-/// streams of the document being decoded, plus the inflate staging buffer
-/// the `Z` coders decompress into.
+/// streams of the document being decoded, plus the coders' staging buffer
+/// and tables ([`StreamScratch`]).
 ///
 /// One scratch per thread (the store layer keeps a thread-local) makes a
 /// steady-state document get allocation-free: every buffer stays at the
-/// high-water size of the documents that thread has served. The scratch
-/// holds no document state between calls — any store/coding may share one.
+/// high-water size of the documents that thread has served, and the `Z`
+/// coder rebuilds its Huffman tables in place. The scratch holds no
+/// document state between calls — any store/coding may share one.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     positions: Vec<u32>,
     lengths: Vec<u32>,
-    inflate: Vec<u8>,
-    fse: rlz_fse::FseScratch,
+    stage: StreamScratch,
 }
 
 impl DecodeScratch {
@@ -511,20 +522,12 @@ impl DecodeScratch {
         coding: PairCoding,
     ) -> Result<(&[u32], &[u32]), CodecError> {
         let (n, pos_bytes, len_bytes) = split_streams(data, coding)?;
-        coding.pos.decode_stream_into(
-            pos_bytes,
-            n,
-            &mut self.positions,
-            &mut self.inflate,
-            &mut self.fse,
-        )?;
-        coding.len.decode_stream_into(
-            len_bytes,
-            n,
-            &mut self.lengths,
-            &mut self.inflate,
-            &mut self.fse,
-        )?;
+        coding
+            .pos
+            .decode_stream_into(pos_bytes, n, &mut self.positions, &mut self.stage)?;
+        coding
+            .len
+            .decode_stream_into(len_bytes, n, &mut self.lengths, &mut self.stage)?;
         Ok((&self.positions, &self.lengths))
     }
 }

@@ -94,7 +94,10 @@ impl BlockCodec {
     /// reusing its capacity.
     fn decompress_into(&self, data: &[u8], out: &mut Vec<u8>) -> Result<(), StoreError> {
         match self {
-            BlockCodec::Zlite(_) => Ok(rlz_zlite::decompress_into(data, out)?),
+            BlockCodec::Zlite(_) => {
+                let mut scratch = rlz_zlite::InflateScratch::default();
+                Ok(rlz_zlite::decompress_into(data, out, &mut scratch)?)
+            }
             BlockCodec::Lzlite(_) => Ok(rlz_lzlite::decompress_into(data, out)?),
             BlockCodec::Fse => {
                 let mut scratch = rlz_fse::FseScratch::default();

@@ -49,9 +49,17 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn warm_get_into_performs_zero_allocations() {
     // One store per coding family with its own scratch shape: byte-aligned
-    // (UV), tANS entropy-coded (FF) and LZ4-style (LL) factor streams must
-    // all hit the allocation-free warm path.
-    for coding in [PairCoding::UV, PairCoding::FF, PairCoding::LL] {
+    // (UV), zlite-inflated (ZZ, ZV, UZ: Huffman tables rebuilt in place per
+    // stream), tANS entropy-coded (FF) and LZ4-style (LL) factor streams
+    // must all hit the allocation-free warm path.
+    for coding in [
+        PairCoding::UV,
+        PairCoding::ZZ,
+        PairCoding::ZV,
+        PairCoding::UZ,
+        PairCoding::FF,
+        PairCoding::LL,
+    ] {
         check_coding(coding);
     }
 }

@@ -5,6 +5,17 @@
 //! written MSB-of-code-first into the LSB-first bit stream — i.e. the code is
 //! bit-reversed before writing, exactly as DEFLATE does — which lets the
 //! decoder use a prefix lookup table on peeked bits.
+//!
+//! The [`Decoder`] is built for reuse: [`Decoder::rebuild`] refills its
+//! flat tables in place from a new set of code lengths, with a counting
+//! sort instead of a comparison sort and no allocation once its buffers
+//! have grown. Its fast table is indexed by the next `min(max_len, 10)`
+//! bits, so the short codes of small streams (a mean `max_len` under 10
+//! for literal/length and under 5 for distance codes on the RLZ factor
+//! streams) pay for a table sized to them, not a fixed 1 024 entries.
+//! Codes longer than the table, and the patterns a Kraft-incomplete code
+//! leaves unassigned, take a canonical walk over the per-length counts;
+//! the latter decode as [`CodecError::Corrupt`].
 
 use rlz_codecs::bitio::{BitReader, BitWriter};
 use rlz_codecs::{CodecError, Result};
@@ -192,16 +203,34 @@ impl Encoder {
     }
 }
 
-/// Table-driven canonical Huffman decoder.
-#[derive(Debug)]
+/// Largest alphabet a [`Decoder`] takes: a fast-table entry keeps the
+/// symbol in the 11 bits above its 5-bit length.
+const MAX_SYMBOLS: usize = 1 << 11;
+
+/// Fast-table slot that no code of at most `fast_bits` bits owns: the code
+/// there is longer, or — in a Kraft-incomplete code — there is none.
+const SLOW: u16 = u16::MAX;
+
+/// Table-driven canonical Huffman decoder whose tables are rebuilt in place.
+///
+/// A decoder starts empty ([`Default`]) and is refilled per block by
+/// [`Decoder::rebuild`]; its buffers keep their high-water capacity, so a
+/// warm rebuild allocates nothing. The fast table has `2^min(max_len, 10)`
+/// slots, so a code of at most ten bits decodes with one lookup and a short
+/// code pays for a short table. Longer codes, and bit patterns an
+/// incomplete code leaves unassigned, take a canonical walk over the
+/// per-length counts.
+#[derive(Debug, Default)]
 pub struct Decoder {
-    /// Fast path: maps the next `FAST_BITS` (LSB-first) to `(sym << 5) | len`;
-    /// `u16::MAX` marks codes longer than `FAST_BITS`.
+    /// Indexed by the next `log2(fast.len())` input bits (LSB-first):
+    /// `(sym << 5) | len`, or [`SLOW`]. Empty until the first rebuild.
     fast: Vec<u16>,
-    /// First canonical code per length, left-justified comparisons.
-    first_code: Vec<u32>,
-    /// Index into `syms` of the first symbol with each length.
-    first_sym: Vec<u32>,
+    /// Codes per length.
+    count: [u16; MAX_CODE_LEN as usize + 1],
+    /// First canonical code of each length.
+    first_code: [u32; MAX_CODE_LEN as usize + 1],
+    /// Index into `syms` of the first symbol of each length.
+    first_sym: [u16; MAX_CODE_LEN as usize + 1],
     /// Symbols sorted by (length, symbol).
     syms: Vec<u16>,
     max_len: u8,
@@ -210,82 +239,127 @@ pub struct Decoder {
 impl Decoder {
     /// Builds a decoder from per-symbol code lengths.
     pub fn from_lengths(lens: &[u8]) -> Result<Self> {
-        let codes = canonical_codes(lens)?;
-        let max_len = lens.iter().copied().max().unwrap_or(0);
-        if max_len == 0 {
-            return Err(CodecError::Corrupt("huffman table is empty"));
-        }
-        if max_len > MAX_CODE_LEN {
-            return Err(CodecError::Corrupt("huffman code length exceeds limit"));
-        }
-        let ml = max_len as usize;
-        let mut count = vec![0u32; ml + 1];
-        for &l in lens {
-            count[l as usize] += 1;
-        }
-        count[0] = 0;
-        let mut first_code = vec![0u32; ml + 2];
-        let mut first_sym = vec![0u32; ml + 2];
-        let mut code = 0u32;
-        let mut sym_index = 0u32;
-        for bits in 1..=ml {
-            code = (code + count[bits - 1]) << 1;
-            first_code[bits] = code;
-            first_sym[bits] = sym_index;
-            sym_index += count[bits];
-        }
-        first_code[ml + 1] = u32::MAX; // sentinel
-        first_sym[ml + 1] = sym_index; // one past the last symbol
-        let mut order: Vec<u16> = (0..lens.len() as u16)
-            .filter(|&s| lens[s as usize] > 0)
-            .collect();
-        order.sort_by_key(|&s| (lens[s as usize], s));
-
-        let mut fast = vec![u16::MAX; 1 << FAST_BITS];
-        for (sym, (&code, &len)) in codes.iter().zip(lens).enumerate() {
-            if len == 0 || len as u32 > FAST_BITS {
-                continue;
-            }
-            let rev = reverse_bits(code, len) as usize;
-            let step = 1usize << len;
-            let entry = ((sym as u16) << 5) | len as u16;
-            let mut idx = rev;
-            while idx < 1 << FAST_BITS {
-                fast[idx] = entry;
-                idx += step;
-            }
-        }
-        Ok(Decoder {
-            fast,
-            first_code,
-            first_sym,
-            syms: order,
-            max_len,
-        })
+        let mut decoder = Decoder::default();
+        decoder.rebuild(lens)?;
+        Ok(decoder)
     }
 
-    /// Decodes one symbol.
+    /// Replaces this decoder's code with the one `lens` describes (one
+    /// length per symbol, 0 = absent), reusing its buffers: a counting
+    /// sort orders the symbols and only `2^min(max_len, 10)` fast slots are
+    /// filled. Over-subscribed codes, empty codes and lengths above
+    /// [`MAX_CODE_LEN`] are rejected, as are alphabets of more than 2 048
+    /// symbols; incomplete codes are accepted and their unassigned
+    /// patterns fail at decode time.
+    pub fn rebuild(&mut self, lens: &[u8]) -> Result<()> {
+        // Until it succeeds the decoder is empty and rejects every input.
+        self.max_len = 0;
+        self.fast.clear();
+        if lens.len() > MAX_SYMBOLS {
+            return Err(CodecError::Corrupt("huffman alphabet too large"));
+        }
+        let mut count = [0u16; MAX_CODE_LEN as usize + 1];
+        for &len in lens {
+            let slot = count
+                .get_mut(len as usize)
+                .ok_or(CodecError::Corrupt("huffman code length exceeds limit"))?;
+            *slot += 1;
+        }
+        count[0] = 0;
+        let max_len = count
+            .iter()
+            .rposition(|&c| c > 0)
+            .ok_or(CodecError::Corrupt("huffman table is empty"))?;
+
+        // Canonical layout, checking Kraft as it goes: `unused` is the
+        // number of still-free codes of the current length.
+        let mut unused = 1i32;
+        let mut code = 0u32;
+        let mut index = 0u16;
+        for len in 1..=max_len {
+            unused = (unused << 1) - count[len] as i32;
+            if unused < 0 {
+                return Err(CodecError::Corrupt("huffman code over-subscribed"));
+            }
+            code = (code + count[len - 1] as u32) << 1;
+            self.first_code[len] = code;
+            self.first_sym[len] = index;
+            index += count[len];
+        }
+        self.count = count;
+
+        let mut next = self.first_sym;
+        self.syms.clear();
+        self.syms.resize(index as usize, 0);
+        for (sym, &len) in lens.iter().enumerate() {
+            if len > 0 {
+                self.syms[next[len as usize] as usize] = sym as u16;
+                next[len as usize] += 1;
+            }
+        }
+
+        // Every code of at most `fast_bits` bits owns the slots whose low
+        // bits are its bit-reversed codeword; the rest stay SLOW, so no
+        // slot keeps an entry from the previous code. The table grows a
+        // length at a time: doubling the `2^(len-1)` slots filled so far
+        // repeats every shorter code's entry at its period, then each
+        // `len`-bit code is stored once, in a slot still SLOW.
+        self.fast.resize(1, SLOW);
+        let mut run_start = 0;
+        let by_len = count.iter().zip(&self.first_code).enumerate();
+        for (len, (&n, &first_code)) in by_len.take(max_len.min(FAST_BITS as usize) + 1).skip(1) {
+            self.fast.extend_from_within(..);
+            let run = &self.syms[run_start..run_start + n as usize];
+            run_start += n as usize;
+            for (code, &sym) in (first_code..).zip(run) {
+                self.fast[reverse_bits(code, len as u8) as usize] = (sym << 5) | len as u16;
+            }
+        }
+        self.max_len = max_len as u8;
+        Ok(())
+    }
+
+    /// Longest code length in bits.
+    #[inline]
+    pub fn max_len(&self) -> u32 {
+        self.max_len as u32
+    }
+
+    /// Decodes one symbol, refilling the reader as needed.
     #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16> {
-        let peek = r.peek_bits_padded(FAST_BITS) as usize;
-        let entry = self.fast[peek];
-        if entry != u16::MAX {
-            r.consume_bits((entry & 0x1F) as u32)?;
-            return Ok(entry >> 5);
+        let (sym, len) = self.lookup(r.peek_bits_padded(self.max_len()))?;
+        r.consume_bits(len)?;
+        Ok(sym)
+    }
+
+    /// Looks up the symbol the buffered bits start with, returning it and
+    /// its code length without consuming anything: the caller guarantees at
+    /// least [`Decoder::max_len`] buffered bits (see [`BitReader::top_up`])
+    /// and takes the code length itself.
+    #[inline]
+    pub fn peek(&self, r: &BitReader<'_>) -> Result<(u16, u32)> {
+        self.lookup(r.peek_buffered(self.max_len()))
+    }
+
+    /// Maps the next `max_len` input bits (LSB-first, zero-padded) to the
+    /// symbol they start with and its code length.
+    #[inline]
+    fn lookup(&self, bits: u64) -> Result<(u16, u32)> {
+        let slot = bits as usize & self.fast.len().wrapping_sub(1);
+        let entry = self.fast.get(slot).copied().unwrap_or(SLOW);
+        if entry != SLOW {
+            return Ok((entry >> 5, (entry & 0x1F) as u32));
         }
-        // Slow path: accumulate bits MSB-first and walk lengths.
+        // Canonical walk: accumulate the code MSB-first, one length at a
+        // time, until it falls inside that length's range.
         let mut code = 0u32;
         for len in 1..=self.max_len as usize {
-            code = (code << 1) | r.read_bits(1)? as u32;
+            code = (code << 1) | ((bits >> (len - 1)) & 1) as u32;
             let offset = code.wrapping_sub(self.first_code[len]);
-            let next_first = self
-                .first_sym
-                .get(len + 1)
-                .copied()
-                .unwrap_or(self.syms.len() as u32);
-            let count = next_first - self.first_sym[len];
-            if code >= self.first_code[len] && offset < count {
-                return Ok(self.syms[(self.first_sym[len] + offset) as usize]);
+            if offset < self.count[len] as u32 {
+                let sym = self.syms[self.first_sym[len] as usize + offset as usize];
+                return Ok((sym, len as u32));
             }
         }
         Err(CodecError::Corrupt("invalid huffman code"))

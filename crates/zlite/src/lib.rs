@@ -18,6 +18,31 @@
 //! on: a window far too small to capture cross-document redundancy, fast
 //! decoding, and per-block decode start-up cost.
 //!
+//! # Decoding
+//!
+//! The RLZ store inflates two small streams per `Z`-coded document get, so
+//! per-stream start-up cost matters as much as per-byte speed:
+//!
+//! * **Scratch.** [`decompress_into`] takes an [`InflateScratch`] holding
+//!   both Huffman decoders and the code-length array. A dynamic block
+//!   refills them in place ([`huffman::Decoder::rebuild`]: a counting sort
+//!   and a fast table of `2^min(max_len, 10)` slots), so a warm decode
+//!   allocates nothing. The fixed block type's decoders are built once per
+//!   process.
+//! * **Refill once per token.** The bit reader refills a 64-bit word at a
+//!   time and buffers at least 56 bits while 8 input bytes remain. A token
+//!   takes at most 48 bits when both codes are at most 15 bits long: a
+//!   15-bit literal/length code, 5 length extra bits, a 15-bit distance
+//!   code and 13 distance extra bits. So after one top-up that buffers 48
+//!   bits, the whole token is read with no refill and no end-of-input
+//!   check, and the next code is looked up before the following top-up.
+//!   Over the last bytes of the input, or when a code is longer than 15
+//!   bits, every read is checked instead. The dynamic header's 5-bit code
+//!   lengths are read the same way, several per refilled word.
+//! * **Copies.** The output keeps 8 writable bytes of slack past what it
+//!   has granted, so a match at distance `d ≥ 8` is copied in whole 8-byte
+//!   chunks; a shorter period copies doubling runs with `copy_within`.
+//!
 //! # Example
 //!
 //! ```
@@ -40,6 +65,7 @@ use huffman::{Decoder, Encoder};
 use lz77::{MatchFinder, Token};
 use rlz_codecs::bitio::{BitReader, BitWriter};
 use rlz_codecs::{vbyte, CodecError};
+use std::sync::OnceLock;
 use tables::{
     dist_code, length_code, DIST_BASE, DIST_EXTRA, EOB, LENGTH_BASE, LENGTH_EXTRA, NUM_DIST,
     NUM_LITLEN,
@@ -105,53 +131,170 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
 /// Decompresses a buffer produced by [`compress`].
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
     let mut out = Vec::new();
-    decompress_into(data, &mut out)?;
+    decompress_into(data, &mut out, &mut InflateScratch::default())?;
     Ok(out)
 }
 
+/// Reusable decode state for [`decompress_into`]: the two Huffman decoders
+/// a dynamic block rebuilds and the code lengths its header carries.
+///
+/// The decoders keep their table buffers between streams (see
+/// [`Decoder::rebuild`]), so a caller that inflates many streams through one
+/// scratch — the RLZ store keeps one per reader thread — builds every table
+/// in place and allocates nothing once warm. The scratch carries no stream
+/// state from one call to the next: every dynamic block rebuilds both
+/// tables before it decodes a symbol.
+#[derive(Debug)]
+pub struct InflateScratch {
+    litlen: Decoder,
+    dist: Decoder,
+    lens: [u8; NUM_LITLEN + NUM_DIST],
+}
+
+impl Default for InflateScratch {
+    fn default() -> Self {
+        InflateScratch {
+            litlen: Decoder::default(),
+            dist: Decoder::default(),
+            lens: [0; NUM_LITLEN + NUM_DIST],
+        }
+    }
+}
+
 /// Decompresses a buffer produced by [`compress`] into `out`, **replacing**
-/// its contents while reusing its capacity.
+/// its contents while reusing its capacity, with `scratch`'s tables.
 ///
 /// This is the hot-path variant for callers that inflate many streams in a
 /// loop (the RLZ store's `Z` position/length coders inflate one small
-/// stream per document get): a reused buffer means the inflate pass does no
-/// heap allocation once warm. On error `out` may hold a partial prefix.
-pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
-    out.clear();
+/// stream per document get): a reused buffer and scratch mean the inflate
+/// pass does no heap allocation once warm. On error `out` may hold a
+/// partial prefix.
+pub fn decompress_into(data: &[u8], out: &mut Vec<u8>, scratch: &mut InflateScratch) -> Result<()> {
     let mut pos = 0usize;
     let raw_len = vbyte::read_u64(data, &mut pos)? as usize;
-    // Grow progressively rather than trusting the header outright.
-    out.reserve(raw_len.min(1 << 20));
     let mut r = BitReader::new(&data[pos..]);
-    while out.len() < raw_len {
-        let block_type = r.read_bits(2)?;
-        match block_type {
+    let mut w = Window::new(out, raw_len);
+    let result = inflate_blocks(&mut r, &mut w, scratch);
+    let written = w.pos;
+    out.truncate(written);
+    result
+}
+
+fn inflate_blocks(
+    r: &mut BitReader<'_>,
+    w: &mut Window<'_>,
+    scratch: &mut InflateScratch,
+) -> Result<()> {
+    while w.pos < w.end {
+        match r.read_bits(2)? {
             BLOCK_STORED => {
                 r.align_byte();
-                let count = read_vbyte_bits(&mut r)? as usize;
-                if out.len() + count > raw_len {
-                    return Err(CodecError::Corrupt("stored block overflows output"));
+                let count = read_vbyte_bits(r)? as usize;
+                w.reserve(count)?;
+                for b in &mut w.buf[w.pos..w.pos + count] {
+                    *b = r.read_bits(8)? as u8;
                 }
-                out.reserve(count);
-                for _ in 0..count {
-                    out.push(r.read_bits(8)? as u8);
-                }
+                w.pos += count;
             }
             BLOCK_FIXED => {
-                let (litlen, dist) = fixed_decoders()?;
-                inflate_block(&mut r, &litlen, &dist, raw_len, out)?;
+                let (litlen, dist) = fixed_decoders();
+                inflate_block(r, litlen, dist, w)?;
             }
             BLOCK_DYNAMIC => {
-                let (litlen, dist) = read_dynamic_header(&mut r)?;
-                inflate_block(&mut r, &litlen, &dist, raw_len, out)?;
+                read_dynamic_header(r, scratch)?;
+                inflate_block(r, &scratch.litlen, &scratch.dist, w)?;
             }
             _ => return Err(CodecError::Corrupt("invalid block type")),
         }
     }
-    if out.len() != raw_len {
-        return Err(CodecError::Corrupt("output length mismatch"));
-    }
     Ok(())
+}
+
+/// Bytes kept writable past the output's high-water mark, so a match copy
+/// may move whole 8-byte chunks and let the last one run over.
+const SLACK: usize = 8;
+
+/// Largest output buffer allocated before a stream has produced the bytes
+/// to justify it: the declared length is untrusted input.
+const INITIAL_WINDOW: usize = 1 << 16;
+
+/// The output of one stream: `buf[..pos]` is decoded, and `buf` always
+/// extends [`SLACK`] bytes past what [`Window::reserve`] has granted, up to
+/// the declared length `end`.
+struct Window<'a> {
+    buf: &'a mut Vec<u8>,
+    pos: usize,
+    end: usize,
+}
+
+impl<'a> Window<'a> {
+    fn new(buf: &'a mut Vec<u8>, end: usize) -> Self {
+        buf.clear();
+        buf.resize(end.min(INITIAL_WINDOW) + SLACK, 0);
+        Window { buf, pos: 0, end }
+    }
+
+    /// Makes room for `n` more output bytes (plus the slack), failing when
+    /// they would pass the declared length.
+    #[inline]
+    fn reserve(&mut self, n: usize) -> Result<()> {
+        if n > self.buf.len() - SLACK - self.pos {
+            self.grow(n)?;
+        }
+        Ok(())
+    }
+
+    #[cold]
+    fn grow(&mut self, n: usize) -> Result<()> {
+        if n > self.end - self.pos {
+            return Err(CodecError::Corrupt("block overflows output"));
+        }
+        let granted = self.buf.len() - SLACK;
+        let want = (self.pos + n).max(2 * granted).min(self.end);
+        self.buf.resize(want + SLACK, 0);
+        Ok(())
+    }
+
+    #[inline]
+    fn literal(&mut self, b: u8) -> Result<()> {
+        self.reserve(1)?;
+        self.buf[self.pos] = b;
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Appends `len` bytes copied from `d` bytes back; the source may
+    /// overlap the bytes being written (a run with period `d`).
+    #[inline]
+    fn copy_match(&mut self, len: usize, d: usize) -> Result<()> {
+        if d > self.pos {
+            return Err(CodecError::Corrupt("match reaches before stream start"));
+        }
+        self.reserve(len)?;
+        let (pos, src) = (self.pos, self.pos - d);
+        if d >= 8 {
+            // Each chunk's source ends at or before the chunk being
+            // written, so it is already decoded; the last chunk may spill
+            // up to 7 bytes into the slack.
+            for k in (0..len).step_by(8) {
+                let chunk: [u8; 8] = self.buf[src + k..src + k + 8]
+                    .try_into()
+                    .expect("8-byte slice");
+                self.buf[pos + k..pos + k + 8].copy_from_slice(&chunk);
+            }
+        } else {
+            // Short period: every copy ends where the decoded run ends and
+            // the run grows by what was copied, so chunks double.
+            let mut done = 0;
+            while done < len {
+                let n = (len - done).min(d + done);
+                self.buf.copy_within(src..src + n, pos + done);
+                done += n;
+            }
+        }
+        self.pos += len;
+        Ok(())
+    }
 }
 
 /// Fixed code lengths in the spirit of DEFLATE's fixed block type: strongly
@@ -173,11 +316,15 @@ fn fixed_dist_lengths() -> Vec<u8> {
     vec![5u8; NUM_DIST]
 }
 
-fn fixed_decoders() -> Result<(Decoder, Decoder)> {
-    Ok((
-        Decoder::from_lengths(&fixed_litlen_lengths())?,
-        Decoder::from_lengths(&fixed_dist_lengths())?,
-    ))
+/// The fixed block type's decoders, built once per process.
+fn fixed_decoders() -> &'static (Decoder, Decoder) {
+    static FIXED: OnceLock<(Decoder, Decoder)> = OnceLock::new();
+    FIXED.get_or_init(|| {
+        (
+            Decoder::from_lengths(&fixed_litlen_lengths()).expect("fixed lengths form a code"),
+            Decoder::from_lengths(&fixed_dist_lengths()).expect("fixed lengths form a code"),
+        )
+    })
 }
 
 /// Writes one block, choosing the cheapest of stored / fixed / dynamic.
@@ -277,49 +424,116 @@ fn write_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8]) {
     lit_enc.write(w, EOB as usize);
 }
 
-/// Decodes tokens until end-of-block, appending raw bytes to `out`.
+/// Longest code either table may have for a token to fit [`TOKEN_BITS`].
+const BUDGET_CODE_LEN: u32 = 15;
+
+/// Most bits one token can take when both codes are at most
+/// [`BUDGET_CODE_LEN`] bits: a length code, 5 length extra bits, a
+/// distance code and 13 distance extra bits.
+const TOKEN_BITS: u32 = 2 * BUDGET_CODE_LEN + 5 + 13;
+
+/// Decodes tokens until end-of-block, appending raw bytes to `w`: from
+/// topped-up words while the input and both codes allow it, then with
+/// checked reads (over the last bytes of the input, or with a code longer
+/// than [`BUDGET_CODE_LEN`]).
 fn inflate_block(
     r: &mut BitReader<'_>,
     litlen: &Decoder,
     dist: &Decoder,
-    raw_len: usize,
-    out: &mut Vec<u8>,
+    w: &mut Window<'_>,
 ) -> Result<()> {
+    if litlen.max_len().max(dist.max_len()) <= BUDGET_CODE_LEN
+        && inflate_buffered(r, litlen, dist, w)?
+    {
+        return Ok(());
+    }
     loop {
         let sym = litlen.decode(r)?;
         if sym < 256 {
-            if out.len() >= raw_len {
-                return Err(CodecError::Corrupt("literal overflows output"));
+            w.literal(sym as u8)?;
+        } else if sym == EOB {
+            return Ok(());
+        } else {
+            let (len, d) = read_match::<false>(r, sym, dist)?;
+            w.copy_match(len, d)?;
+        }
+    }
+}
+
+/// The fast loop of [`inflate_block`]: tops the reader up once per token
+/// and, while that leaves a whole token's [`TOKEN_BITS`] buffered, decodes
+/// the token with no further refill or end-of-input check. Returns whether
+/// it reached the end of the block; otherwise the rest of the block is
+/// left for checked reads, starting at a token boundary.
+fn inflate_buffered(
+    r: &mut BitReader<'_>,
+    litlen: &Decoder,
+    dist: &Decoder,
+    w: &mut Window<'_>,
+) -> Result<bool> {
+    if r.top_up() < TOKEN_BITS {
+        return Ok(false);
+    }
+    let mut next = litlen.peek(r);
+    loop {
+        let (sym, code_len) = next?;
+        r.take(code_len);
+        if sym < 256 {
+            // A literal leaves at least TOKEN_BITS - 15 bits, enough to
+            // look the next code up before the refill rather than after.
+            next = litlen.peek(r);
+            w.literal(sym as u8)?;
+            if r.top_up() < TOKEN_BITS {
+                return Ok(false);
             }
-            out.push(sym as u8);
             continue;
         }
         if sym == EOB {
-            return Ok(());
+            return Ok(true);
         }
-        let lc = (sym - 257) as usize;
-        if lc >= LENGTH_BASE.len() {
-            return Err(CodecError::Corrupt("invalid length symbol"));
+        let (len, d) = read_match::<true>(r, sym, dist)?;
+        w.copy_match(len, d)?;
+        if r.top_up() < TOKEN_BITS {
+            return Ok(false);
         }
-        let len = LENGTH_BASE[lc] as usize + r.read_bits(LENGTH_EXTRA[lc] as u32)? as usize;
-        let dsym = dist.decode(r)? as usize;
-        if dsym >= DIST_BASE.len() {
-            return Err(CodecError::Corrupt("invalid distance symbol"));
-        }
-        let d = DIST_BASE[dsym] as usize + r.read_bits(DIST_EXTRA[dsym] as u32)? as usize;
-        if d > out.len() {
-            return Err(CodecError::Corrupt("match reaches before stream start"));
-        }
-        if out.len() + len > raw_len {
-            return Err(CodecError::Corrupt("match overflows output"));
-        }
-        let start = out.len() - d;
-        // Byte-wise copy: matches may overlap themselves (RLE-style).
-        for k in 0..len {
-            let b = out[start + k];
-            out.push(b);
-        }
+        next = litlen.peek(r);
     }
+}
+
+/// Reads the rest of a match whose length symbol `sym` was just decoded:
+/// the length's extra bits, the distance code and its extra bits. With
+/// `BUFFERED` they are drawn from bits the caller has topped up (see
+/// [`inflate_buffered`]); otherwise each read is checked.
+#[inline(always)]
+fn read_match<const BUFFERED: bool>(
+    r: &mut BitReader<'_>,
+    sym: u16,
+    dist: &Decoder,
+) -> Result<(usize, usize)> {
+    let extra = |r: &mut BitReader<'_>, n: u8| {
+        if BUFFERED {
+            Ok(r.take(n as u32))
+        } else {
+            r.read_bits(n as u32)
+        }
+    };
+    let lc = (sym - 257) as usize;
+    if lc >= LENGTH_BASE.len() {
+        return Err(CodecError::Corrupt("invalid length symbol"));
+    }
+    let len = LENGTH_BASE[lc] as usize + extra(r, LENGTH_EXTRA[lc])? as usize;
+    let dsym = if BUFFERED {
+        let (dsym, code_len) = dist.peek(r)?;
+        r.take(code_len);
+        dsym
+    } else {
+        dist.decode(r)?
+    } as usize;
+    if dsym >= DIST_BASE.len() {
+        return Err(CodecError::Corrupt("invalid distance symbol"));
+    }
+    let d = DIST_BASE[dsym] as usize + extra(r, DIST_EXTRA[dsym])? as usize;
+    Ok((len, d))
 }
 
 // --- dynamic header (code lengths with zero-run RLE) ---
@@ -371,33 +585,55 @@ fn write_dynamic_header(w: &mut BitWriter, lit_lens: &[u8], dist_lens: &[u8]) {
     }
 }
 
-fn read_dynamic_header(r: &mut BitReader<'_>) -> Result<(Decoder, Decoder)> {
-    let mut tables: Vec<Vec<u8>> = Vec::with_capacity(2);
-    for limit in [NUM_LITLEN, NUM_DIST] {
-        let n = r.read_bits(9)? as usize;
-        if n > limit {
-            return Err(CodecError::Corrupt("code length count out of range"));
-        }
-        let mut lens = vec![0u8; limit];
-        let mut i = 0usize;
-        while i < n {
-            let v = r.read_bits(5)?;
-            if v == LEN_RLE_ZERO_RUN {
-                let run = r.read_bits(6)? as usize + 1;
-                if i + run > n {
-                    return Err(CodecError::Corrupt("zero run overflows table"));
-                }
-                i += run;
-            } else {
-                lens[i] = v as u8;
-                i += 1;
-            }
-        }
-        tables.push(lens);
+/// Bits of the longest code-length entry: a zero-run escape and its run.
+const LEN_ENTRY_BITS: u32 = 5 + 6;
+
+/// Reads a dynamic block's two code-length tables into `scratch` and
+/// rebuilds its decoders from them.
+fn read_dynamic_header(r: &mut BitReader<'_>, scratch: &mut InflateScratch) -> Result<()> {
+    let (lit_lens, dist_lens) = scratch.lens.split_at_mut(NUM_LITLEN);
+    read_code_lengths(r, lit_lens)?;
+    read_code_lengths(r, dist_lens)?;
+    scratch.litlen.rebuild(lit_lens)?;
+    scratch.dist.rebuild(dist_lens)
+}
+
+/// Reads one table's transmitted count and code lengths into `lens`,
+/// zeroing the symbols the table leaves out.
+fn read_code_lengths(r: &mut BitReader<'_>, lens: &mut [u8]) -> Result<()> {
+    let n = r.read_bits(9)? as usize;
+    if n > lens.len() {
+        return Err(CodecError::Corrupt("code length count out of range"));
     }
-    let dist = Decoder::from_lengths(&tables.pop().expect("two tables"))?;
-    let litlen = Decoder::from_lengths(&tables.pop().expect("two tables"))?;
-    Ok((litlen, dist))
+    lens.fill(0);
+    let mut i = 0usize;
+    while i < n {
+        // One refilled word serves at least five entries; only the last
+        // bytes of the input fall back to a checked read per field.
+        let (v, run) = if r.buffered() >= LEN_ENTRY_BITS || r.top_up() >= LEN_ENTRY_BITS {
+            let v = r.take(5);
+            (v, if v == LEN_RLE_ZERO_RUN { r.take(6) } else { 0 })
+        } else {
+            let v = r.read_bits(5)?;
+            let run = if v == LEN_RLE_ZERO_RUN {
+                r.read_bits(6)?
+            } else {
+                0
+            };
+            (v, run)
+        };
+        if v == LEN_RLE_ZERO_RUN {
+            let run = run as usize + 1;
+            if run > n - i {
+                return Err(CodecError::Corrupt("zero run overflows table"));
+            }
+            i += run;
+        } else {
+            lens[i] = v as u8;
+            i += 1;
+        }
+    }
+    Ok(())
 }
 
 // --- helpers for byte-ish values inside the bit stream ---
@@ -574,12 +810,66 @@ mod tests {
         let ca = compress(&a, Level::Default);
         let cb = compress(&b, Level::Default);
         let mut buf = b"stale".to_vec();
-        decompress_into(&ca, &mut buf).unwrap();
+        let mut scratch = InflateScratch::default();
+        decompress_into(&ca, &mut buf, &mut scratch).unwrap();
         assert_eq!(buf, a);
         let cap = buf.capacity();
-        decompress_into(&cb, &mut buf).unwrap();
+        decompress_into(&cb, &mut buf, &mut scratch).unwrap();
         assert_eq!(buf, b);
         assert_eq!(buf.capacity(), cap, "shrinking the buffer defeats reuse");
+    }
+
+    /// One dynamic block declaring `raw_len` output bytes, with the given
+    /// literal/length code lengths, a one-symbol distance code, and a body
+    /// written by `body`.
+    fn dynamic_stream(raw_len: u64, lit_lens: &[u8], body: impl FnOnce(&mut BitWriter)) -> Vec<u8> {
+        let mut out = Vec::new();
+        vbyte::write_u64(raw_len, &mut out);
+        let mut w = BitWriter::new();
+        w.write_bits(BLOCK_DYNAMIC, 2);
+        write_dynamic_header(&mut w, lit_lens, &[1]);
+        body(&mut w);
+        w.finish_into(&mut out);
+        out.extend_from_slice(&[0u8; 4]);
+        out
+    }
+
+    #[test]
+    fn incomplete_code_after_a_complete_one_rejects_its_unassigned_pattern() {
+        // Complete code: EOB = 0, 'a' = 10, 'b' = 11.
+        let mut complete = vec![0u8; NUM_LITLEN];
+        complete[EOB as usize] = 1;
+        complete[b'a' as usize] = 2;
+        complete[b'b' as usize] = 2;
+        let first = dynamic_stream(2, &complete, |w| {
+            let enc = Encoder::from_lengths(&complete).unwrap();
+            enc.write(w, b'a' as usize);
+            enc.write(w, b'b' as usize);
+            enc.write(w, EOB as usize);
+        });
+        // Kraft-incomplete code of the same table size: 'a' = 0, EOB = 10,
+        // and 11 — 'b' above — is assigned to nothing.
+        let mut incomplete = vec![0u8; NUM_LITLEN];
+        incomplete[b'a' as usize] = 1;
+        incomplete[EOB as usize] = 2;
+        let second = dynamic_stream(2, &incomplete, |w| {
+            let enc = Encoder::from_lengths(&incomplete).unwrap();
+            enc.write(w, b'a' as usize);
+            w.write_bits(0b11, 2);
+            enc.write(w, EOB as usize);
+        });
+
+        let mut scratch = InflateScratch::default();
+        let mut out = Vec::new();
+        decompress_into(&first, &mut out, &mut scratch).unwrap();
+        assert_eq!(out, b"ab");
+        let invalid = CodecError::Corrupt("invalid huffman code");
+        assert_eq!(decompress(&second), Err(invalid.clone()), "fresh scratch");
+        assert_eq!(
+            decompress_into(&second, &mut out, &mut scratch),
+            Err(invalid),
+            "a stale 'b' entry must not decode"
+        );
     }
 
     #[test]
