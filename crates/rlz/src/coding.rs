@@ -38,8 +38,8 @@
 //! * **Fused** — [`decode_and_expand_scratch`] decodes both integer
 //!   streams into a caller-owned [`DecodeScratch`] (two `u32` buffers plus
 //!   the compressing coders' inflate buffer and reusable `Z`/`F` decode
-//!   tables), validates every factor extent
-//!   against the dictionary in a single pre-pass that also sums the
+//!   tables), validates every factor extent against the dictionary in a
+//!   single pre-pass that also sums the
 //!   expanded length, reserves `out` once, and then runs a
 //!   branch-minimized copy loop: factors of ≤ 16 bytes (the overwhelming
 //!   majority per Figure 3) take a fixed-width 16-byte copy that the

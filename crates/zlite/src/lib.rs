@@ -170,6 +170,7 @@ impl Default for InflateScratch {
 /// pass does no heap allocation once warm. On error `out` may hold a
 /// partial prefix.
 pub fn decompress_into(data: &[u8], out: &mut Vec<u8>, scratch: &mut InflateScratch) -> Result<()> {
+    out.clear();
     let mut pos = 0usize;
     let raw_len = vbyte::read_u64(data, &mut pos)? as usize;
     let mut r = BitReader::new(&data[pos..]);
@@ -228,8 +229,9 @@ struct Window<'a> {
 }
 
 impl<'a> Window<'a> {
+    /// A window over the empty `buf`, for `end` output bytes.
     fn new(buf: &'a mut Vec<u8>, end: usize) -> Self {
-        buf.clear();
+        debug_assert!(buf.is_empty());
         buf.resize(end.min(INITIAL_WINDOW) + SLACK, 0);
         Window { buf, pos: 0, end }
     }
