@@ -18,11 +18,14 @@
 //! * `within` — anything else.
 //!
 //! It also says whether `stored_pct` is identical on every seed and counts
-//! each side's failed operations. A verdict never changes the exit status:
-//! that is nonzero only when a result is missing or unreadable.
+//! each side's failed operations. A seed whose base or head result is
+//! missing or unreadable (a run that failed before printing its line) is
+//! left out of the table and listed as a failed run. A verdict never changes
+//! the exit status: that is nonzero only when some run failed, or no seed
+//! has both results.
 
 use rlz_bench::json::{self, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -70,8 +73,29 @@ fn end_to_end(benchmark: &Value) -> Result<Vec<Metric>, String> {
         .collect()
 }
 
+/// Parses one result line.
+fn read_run(path: &Path) -> Result<Run, String> {
+    let line = load(path)?;
+    let number = |k: &str| {
+        line.get(k)
+            .and_then(Value::as_f64)
+            .ok_or(format!("{}: no {k:?}", path.display()))
+    };
+    Ok(Run {
+        attempted: number("attempted")?,
+        failed: number("failed")?,
+        metrics: line
+            .get("metrics")
+            .cloned()
+            .ok_or(format!("{}: no metrics", path.display()))?,
+    })
+}
+
+/// Each `(side, seed)`'s result, or why its file is not a result line.
+type Runs = BTreeMap<(String, u64), Result<Run, String>>;
+
 /// Reads every `<side>-<seed>.json` in `dir`, by side then seed.
-fn runs(dir: &Path) -> Result<BTreeMap<(String, u64), Run>, String> {
+fn runs(dir: &Path) -> Result<Runs, String> {
     let mut out = BTreeMap::new();
     let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for entry in entries {
@@ -85,23 +109,27 @@ fn runs(dir: &Path) -> Result<BTreeMap<(String, u64), Run>, String> {
         let (Ok(seed), true) = (seed.parse::<u64>(), side == "base" || side == "head") else {
             continue;
         };
-        let line = load(&path)?;
-        let number = |k: &str| {
-            line.get(k)
-                .and_then(Value::as_f64)
-                .ok_or(format!("{}: no {k:?}", path.display()))
-        };
-        let run = Run {
-            attempted: number("attempted")?,
-            failed: number("failed")?,
-            metrics: line
-                .get("metrics")
-                .cloned()
-                .ok_or(format!("{}: no metrics", path.display()))?,
-        };
-        out.insert((side.to_string(), seed), run);
+        out.insert((side.to_string(), seed), read_run(&path));
     }
     Ok(out)
+}
+
+/// Splits `runs` into the seeds whose base and head both have a result,
+/// as `(seed, base, head)` in seed order, and one message per failed run.
+fn pair_up(mut runs: Runs) -> (Vec<(u64, Run, Run)>, Vec<String>) {
+    let seeds: BTreeSet<u64> = runs.keys().map(|&(_, seed)| seed).collect();
+    let (mut pairs, mut failures) = (Vec::new(), Vec::new());
+    for seed in seeds {
+        let [base, head] = ["base", "head"].map(|side| {
+            runs.remove(&(side.to_string(), seed))
+                .unwrap_or_else(|| Err("no result file".into()))
+                .map_err(|e| failures.push(format!("{side} seed {seed}: {e}")))
+        });
+        if let (Ok(base), Ok(head)) = (base, head) {
+            pairs.push((seed, base, head));
+        }
+    }
+    (pairs, failures)
 }
 
 /// The `p` quantile of sorted `v`, interpolating between neighbours.
@@ -165,23 +193,16 @@ fn run() -> Result<(), String> {
         return Err("usage: ab_compare BENCHMARK.json RESULTS_DIR".into());
     };
     let metrics = end_to_end(&load(Path::new(benchmark))?)?;
-    let runs = runs(Path::new(dir))?;
-    let seeds: Vec<u64> = runs
-        .keys()
-        .filter(|(side, _)| side == "base")
-        .map(|&(_, seed)| seed)
-        .filter(|&seed| runs.contains_key(&("head".to_string(), seed)))
-        .collect();
-    if seeds.is_empty() {
-        return Err(format!("{dir}: no seed has both a base and a head result"));
+    let (pairs, failures) = pair_up(runs(Path::new(dir))?);
+    if pairs.is_empty() {
+        return Err(format!(
+            "{dir}: no seed has both a base and a head result; failed runs: {}",
+            failures.join("; ")
+        ));
     }
-    let side = |name: &str| -> Vec<&Run> {
-        seeds
-            .iter()
-            .map(|&seed| &runs[&(name.to_string(), seed)])
-            .collect()
-    };
-    let (base, head) = (side("base"), side("head"));
+    let seeds: Vec<u64> = pairs.iter().map(|&(seed, _, _)| seed).collect();
+    let base: Vec<&Run> = pairs.iter().map(|(_, base, _)| base).collect();
+    let head: Vec<&Run> = pairs.iter().map(|(_, _, head)| head).collect();
     println!(
         "{} pairs, seeds {:?}; medians [quartiles]",
         seeds.len(),
@@ -237,7 +258,11 @@ fn run() -> Result<(), String> {
         failed(&base),
         failed(&head)
     );
-    Ok(())
+    if failures.is_empty() {
+        return Ok(());
+    }
+    println!("failed runs (left out above): {}", failures.join("; "));
+    Err(format!("{} run(s) produced no result", failures.len()))
 }
 
 fn main() -> ExitCode {
@@ -284,5 +309,33 @@ mod tests {
         assert_eq!(verdict(&metric(true), &base, &base), (0, "within"));
         // Too few pairs for a gain, however large.
         assert_eq!(verdict(&metric(true), &base[..4], &up[..4]), (4, "within"));
+    }
+
+    #[test]
+    fn a_failed_run_drops_only_its_seed() {
+        let ok = || {
+            Ok(Run {
+                attempted: 1.0,
+                failed: 0.0,
+                metrics: Value::Obj(Vec::new()),
+            })
+        };
+        let mut runs = BTreeMap::new();
+        for seed in 1..=3 {
+            runs.insert(("base".to_string(), seed), ok());
+            runs.insert(("head".to_string(), seed), ok());
+        }
+        runs.insert(("head".to_string(), 2), Err("not a result line".into()));
+        runs.insert(("base".to_string(), 4), ok());
+        let (pairs, failures) = pair_up(runs);
+        let seeds: Vec<u64> = pairs.iter().map(|&(seed, _, _)| seed).collect();
+        assert_eq!(seeds, [1, 3]);
+        assert_eq!(
+            failures,
+            [
+                "head seed 2: not a result line",
+                "head seed 4: no result file"
+            ]
+        );
     }
 }

@@ -142,13 +142,6 @@ impl<'a> BitReader<'a> {
         self.nbits
     }
 
-    /// Bits currently buffered: what [`BitReader::take`] may draw without
-    /// a [`BitReader::top_up`].
-    #[inline]
-    pub fn buffered(&self) -> u32 {
-        self.nbits
-    }
-
     #[inline]
     fn refill(&mut self, need: u32) -> Result<()> {
         if self.nbits < need && self.top_up() < need {

@@ -38,7 +38,7 @@
 //!   check, and the next code is looked up before the following top-up.
 //!   Over the last bytes of the input, or when a code is longer than 15
 //!   bits, every read is checked instead. The dynamic header's 5-bit code
-//!   lengths are read the same way, several per refilled word.
+//!   lengths take checked reads, several from each refilled word.
 //! * **Copies.** The output keeps 8 writable bytes of slack past what it
 //!   has granted, so a match at distance `d ≥ 8` is copied in whole 8-byte
 //!   chunks; a shorter period copies doubling runs with `copy_within`.
@@ -587,9 +587,6 @@ fn write_dynamic_header(w: &mut BitWriter, lit_lens: &[u8], dist_lens: &[u8]) {
     }
 }
 
-/// Bits of the longest code-length entry: a zero-run escape and its run.
-const LEN_ENTRY_BITS: u32 = 5 + 6;
-
 /// Reads a dynamic block's two code-length tables into `scratch` and
 /// rebuilds its decoders from them.
 fn read_dynamic_header(r: &mut BitReader<'_>, scratch: &mut InflateScratch) -> Result<()> {
@@ -610,22 +607,11 @@ fn read_code_lengths(r: &mut BitReader<'_>, lens: &mut [u8]) -> Result<()> {
     lens.fill(0);
     let mut i = 0usize;
     while i < n {
-        // One refilled word serves at least five entries; only the last
-        // bytes of the input fall back to a checked read per field.
-        let (v, run) = if r.buffered() >= LEN_ENTRY_BITS || r.top_up() >= LEN_ENTRY_BITS {
-            let v = r.take(5);
-            (v, if v == LEN_RLE_ZERO_RUN { r.take(6) } else { 0 })
-        } else {
-            let v = r.read_bits(5)?;
-            let run = if v == LEN_RLE_ZERO_RUN {
-                r.read_bits(6)?
-            } else {
-                0
-            };
-            (v, run)
-        };
+        // `read_bits` tops the reader up a word at a time, so one refill
+        // serves several entries.
+        let v = r.read_bits(5)?;
         if v == LEN_RLE_ZERO_RUN {
-            let run = run as usize + 1;
+            let run = r.read_bits(6)? as usize + 1;
             if run > n - i {
                 return Err(CodecError::Corrupt("zero run overflows table"));
             }
