@@ -16,14 +16,23 @@
 //! * [`elias`] — Elias γ and δ codes, bit-oriented baselines.
 //! * [`bitio`] — LSB-first bit reader/writer shared with the `zlite`
 //!   compressor.
-//! * [`hash`] — CRC32C (Castagnoli, slicing-by-8) used by the store layer
-//!   for block/record integrity checksums.
+//! * [`hash`] — CRC32C (Castagnoli) used by the store layer for
+//!   block/record integrity checksums: SSE4.2 `crc32` when the CPU has it,
+//!   slicing-by-8 otherwise, chosen at run time.
 //!
 //! All coders implement [`IntCodec`] and round-trip arbitrary `u32` slices;
 //! decoding is fully bounds-checked and returns [`CodecError`] on truncated
 //! or corrupt input (no panics).
+//!
+//! The crate is safe code except for one audited call: [`hash`] invokes its
+//! SSE4.2 backend only after detecting the feature at run time (its module
+//! docs give the safety argument). Every other item denies `unsafe`, and
+//! every `unsafe` block must carry a `// SAFETY:` comment.
 
-#![forbid(unsafe_code)]
+// Unsafe code is confined to one call in the `hash` module; everything
+// else in the crate denies it.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod bitio;

@@ -119,25 +119,32 @@ impl IntCodec for VByte {
         let mut remaining = n;
         // Word-at-a-time fast path: RLZ factor lengths are mostly < 128
         // (Fig. 3), so long runs of single-byte codes dominate. Load 8
-        // input bytes at once; if no continuation bit is set they are 8
-        // complete values. A word containing a continuation bit falls back
-        // to the scalar reader for one value, then retries the fast path.
+        // input bytes at once; the bytes before the first continuation bit
+        // (all 8 when none is set) are complete single-byte values. Emit
+        // that clean prefix in bulk, let the scalar reader take the value
+        // the first continuation bit starts, then retry the fast path.
         const MSB: u64 = 0x8080_8080_8080_8080;
         while remaining >= 8 {
-            match data.get(pos..pos + 8) {
-                Some(chunk) => {
-                    let word = u64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
-                    if word & MSB == 0 {
-                        out.extend((0..8).map(|i| ((word >> (8 * i)) & 0x7F) as u32));
-                        pos += 8;
-                        remaining -= 8;
-                        continue;
-                    }
-                }
-                None => break,
+            let Some(chunk) = data.get(pos..pos + 8) else {
+                break;
+            };
+            let word = u64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
+            let clean = ((word & MSB).trailing_zeros() / 8) as usize;
+            if clean > 0 {
+                // Emit all 8 lanes, then cut back to the clean prefix. This
+                // never reallocates: at least 8 values and 8 input bytes
+                // remain, and every value so far consumed an input byte, so
+                // the 8 lanes fit in the `n.min(data.len())` reserved above.
+                let at = out.len();
+                out.extend((0..8).map(|i| ((word >> (8 * i)) & 0x7F) as u32));
+                out.truncate(at + clean);
+                pos += clean;
+                remaining -= clean;
             }
-            out.push(read_u32(data, &mut pos)?);
-            remaining -= 1;
+            if clean < 8 {
+                out.push(read_u32(data, &mut pos)?);
+                remaining -= 1;
+            }
         }
         for _ in 0..remaining {
             out.push(read_u32(data, &mut pos)?);

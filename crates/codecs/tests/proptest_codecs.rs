@@ -3,7 +3,50 @@
 
 use proptest::prelude::*;
 use rlz_codecs::bitio::{BitReader, BitWriter, TOP_UP_BITS};
-use rlz_codecs::{all_codecs, zigzag_decode, zigzag_encode, CodecError};
+use rlz_codecs::vbyte::{self, VByte};
+use rlz_codecs::{all_codecs, zigzag_decode, zigzag_encode, CodecError, IntCodec};
+
+/// Both edges of every vbyte width: the largest 1-, 2-, 3- and 4-byte
+/// values, the smallest 2-, 3-, 4- and 5-byte ones, and `u32::MAX`.
+const VBYTE_EDGES: [u32; 10] = [
+    0,
+    (1 << 7) - 1,
+    1 << 7,
+    (1 << 14) - 1,
+    1 << 14,
+    (1 << 21) - 1,
+    1 << 21,
+    (1 << 28) - 1,
+    1 << 28,
+    u32::MAX,
+];
+
+/// A vbyte-stream value: ~90 % below 128, the rest spread over all five
+/// code widths, about a third of those exactly on a width edge.
+fn mixed_width_value((class, pick, raw): (u32, usize, u32)) -> u32 {
+    match class {
+        0..=89 => raw & 0x7F,
+        90..=92 => VBYTE_EDGES[pick],
+        _ => raw >> [25, 18, 11, 4, 0][pick % 5],
+    }
+}
+
+/// `n` values read one at a time with `read_u32`: the decoder the word
+/// fast path must agree with.
+fn vbyte_scalar(data: &[u8], n: usize) -> Result<(Vec<u32>, usize), CodecError> {
+    let mut pos = 0;
+    let values = (0..n)
+        .map(|_| vbyte::read_u32(data, &mut pos))
+        .collect::<Result<_, _>>()?;
+    Ok((values, pos))
+}
+
+/// `n` values through `decode_into` over a stale buffer.
+fn vbyte_fast(data: &[u8], n: usize) -> Result<(Vec<u32>, usize), CodecError> {
+    let mut out = vec![u32::MAX; 5];
+    let used = VByte.decode_into(data, n, &mut out)?;
+    Ok((out, used))
+}
 
 proptest! {
     #[test]
@@ -146,6 +189,41 @@ proptest! {
             }
             prop_assert_eq!(r.bits_consumed(), pos);
             prop_assert_eq!(r.bytes_consumed() as u64, pos.div_ceil(8));
+        }
+    }
+
+    #[test]
+    fn vbyte_word_path_matches_scalar_reads_on_mixed_widths(
+        picks in proptest::collection::vec((0u32..100, 0usize..10, any::<u32>()), 0..300),
+        count in any::<prop::sample::Index>(),
+        flip in any::<prop::sample::Index>(),
+        flipped in any::<u8>(),
+    ) {
+        // Mostly 1-byte codes with multi-byte ones at every offset inside
+        // the fast path's 8-byte word, so words break after clean prefixes
+        // of every length 0..7.
+        let values: Vec<u32> = picks.into_iter().map(mixed_width_value).collect();
+        let enc = VByte.encode_to_vec(&values);
+        prop_assert_eq!(vbyte_fast(&enc, values.len()), Ok((values.clone(), enc.len())));
+        // Any shorter count stops at the same byte as the scalar reader.
+        let n = count.index(values.len() + 1);
+        prop_assert_eq!(vbyte_fast(&enc, n), vbyte_scalar(&enc, n), "count {}", n);
+        // Every truncation fails, and fails the same way.
+        for cut in 0..enc.len() {
+            let got = vbyte_fast(&enc[..cut], values.len());
+            prop_assert!(got.is_err(), "cut {} decoded", cut);
+            prop_assert_eq!(got, vbyte_scalar(&enc[..cut], values.len()), "cut {}", cut);
+        }
+        // One overwritten byte: the same values, consumed length or error
+        // (overlong runs and 5th-byte overflow included).
+        if !enc.is_empty() {
+            let mut bad = enc.clone();
+            bad[flip.index(enc.len())] = flipped;
+            prop_assert_eq!(
+                vbyte_fast(&bad, values.len()),
+                vbyte_scalar(&bad, values.len()),
+                "byte {} set to {:#x}", flip.index(enc.len()), flipped
+            );
         }
     }
 

@@ -38,14 +38,15 @@
 //! * **Fused** — [`decode_and_expand_scratch`] decodes both integer
 //!   streams into a caller-owned [`DecodeScratch`] (two `u32` buffers plus
 //!   the compressing coders' inflate buffer and reusable `Z`/`F` decode
-//!   tables), validates every factor extent against the dictionary in a
-//!   single pre-pass that also sums the
-//!   expanded length, reserves `out` once, and then runs a
-//!   branch-minimized copy loop: factors of ≤ 16 bytes (the overwhelming
-//!   majority per Figure 3) take a fixed-width 16-byte copy that the
-//!   compiler lowers to two unconditional vector moves, longer factors a
-//!   plain `memcpy`. A caller that reuses its scratch — the store layer
-//!   keeps one per thread — performs **zero heap allocations** per
+//!   tables), then expands them in a single copy pass that validates each
+//!   factor as it goes: factors of ≤ 16 bytes (the overwhelming majority
+//!   per Figure 3) whose 16-byte window lies inside the dictionary take a
+//!   fixed-width copy that the compiler lowers to two unconditional vector
+//!   moves; longer factors are a checked `dict.get(pos..pos + len)` and a
+//!   plain `memcpy`; literals must be byte values. A bad factor truncates
+//!   `out` back to its length on entry, so an error appends nothing. A
+//!   caller that reuses its scratch and output buffer — the store layer
+//!   keeps one scratch per thread — performs **zero heap allocations** per
 //!   steady-state document get.
 //!
 //! [`decode_and_expand`] wraps the fused path with a fresh scratch for
@@ -552,10 +553,9 @@ pub fn decode_and_expand(
 /// the paper puts the bulk of factor lengths well under this.
 const SHORT_FACTOR_WINDOW: usize = 16;
 
-/// The fused decode path: decodes both factor streams into `scratch`,
-/// validates every factor against `dict_bytes` in one pre-pass, then
-/// expands with a branch-minimized copy loop, appending to `out`. On any
-/// error nothing is appended to `out`.
+/// The fused decode path: decodes both factor streams into `scratch`, then
+/// expands them against `dict_bytes` in one validating copy pass,
+/// appending to `out`. On any error nothing is appended to `out`.
 ///
 /// Byte-identical to [`decode_document`] + [`crate::factor::expand`] (the
 /// two-step oracle) on every valid record; see the module docs for the
@@ -568,37 +568,23 @@ pub fn decode_and_expand_scratch(
     scratch: &mut DecodeScratch,
 ) -> Result<(), CodecError> {
     let (positions, lengths) = scratch.decode_streams(data, coding)?;
-    let dict_len = dict_bytes.len() as u64;
-
-    // Pre-pass: validate every factor extent and sum the expanded size, so
-    // the copy loop below needs no per-factor error branch and `out` grows
-    // at most once. Literals must be byte values; copies must lie inside
-    // the dictionary.
-    let mut expanded = 0u64;
-    for (&pos, &len) in positions.iter().zip(lengths) {
-        if len == 0 {
-            if pos > u8::MAX as u32 {
-                return Err(CodecError::Corrupt("literal is not a byte"));
-            }
-            expanded += 1;
-        } else {
-            if pos as u64 + len as u64 > dict_len {
-                return Err(CodecError::Corrupt("factor exceeds dictionary"));
-            }
-            expanded += len as u64;
-        }
-    }
-    let expanded =
-        usize::try_from(expanded).map_err(|_| CodecError::Corrupt("document exceeds usize"))?;
-    // The short-factor fast path overshoots by up to WINDOW-1 bytes before
-    // truncating back; reserve for the overshoot so it never reallocates.
-    out.reserve(expanded + SHORT_FACTOR_WINDOW);
+    let start = out.len();
+    // Every factor expands to at least one byte, and the short-factor fast
+    // path overshoots by up to WINDOW-1 bytes before truncating back.
+    out.reserve(positions.len() + SHORT_FACTOR_WINDOW);
+    // A short factor at `pos < window_end` has a whole window inside the
+    // dictionary, so that window also covers the factor itself.
+    let window_end = (dict_bytes.len() + 1).saturating_sub(SHORT_FACTOR_WINDOW);
 
     for (&pos, &len) in positions.iter().zip(lengths) {
         let (pos, len) = (pos as usize, len as usize);
         if len == 0 {
-            out.push(pos as u8);
-        } else if len <= SHORT_FACTOR_WINDOW && pos + SHORT_FACTOR_WINDOW <= dict_bytes.len() {
+            let Ok(byte) = u8::try_from(pos) else {
+                out.truncate(start);
+                return Err(CodecError::Corrupt("literal is not a byte"));
+            };
+            out.push(byte);
+        } else if len <= SHORT_FACTOR_WINDOW && pos < window_end {
             // Fixed-width copy: unconditionally move a whole window (two
             // 8-byte loads/stores after vectorization), then cut back.
             let window: &[u8; SHORT_FACTOR_WINDOW] = dict_bytes[pos..pos + SHORT_FACTOR_WINDOW]
@@ -607,7 +593,14 @@ pub fn decode_and_expand_scratch(
             out.extend_from_slice(window);
             out.truncate(out.len() - (SHORT_FACTOR_WINDOW - len));
         } else {
-            out.extend_from_slice(&dict_bytes[pos..pos + len]);
+            let Some(src) = pos
+                .checked_add(len)
+                .and_then(|end| dict_bytes.get(pos..end))
+            else {
+                out.truncate(start);
+                return Err(CodecError::Corrupt("factor exceeds dictionary"));
+            };
+            out.extend_from_slice(src);
         }
     }
     Ok(())

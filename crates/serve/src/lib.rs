@@ -59,6 +59,7 @@
 // Unsafe code is confined to the `event` module (raw epoll/eventfd
 // syscall bindings); everything else in the crate denies it.
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 #[cfg(not(target_os = "linux"))]

@@ -16,6 +16,8 @@
 //!
 //! See the repository `README.md` for a guided tour.
 
+#![forbid(unsafe_code)]
+
 pub mod ingest;
 
 pub use rlz_codecs as codecs;
