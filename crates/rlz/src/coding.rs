@@ -38,8 +38,9 @@
 //! * **Fused** — [`decode_and_expand_scratch`] decodes both integer
 //!   streams into a caller-owned [`DecodeScratch`] (two `u32` buffers plus
 //!   the compressing coders' inflate buffer and reusable `Z`/`F` decode
-//!   tables), then expands them in a single copy pass that validates each
-//!   factor as it goes: factors of ≤ 16 bytes (the overwhelming majority
+//!   tables), reserves `out` once from the summed lengths, then expands
+//!   the factors in a single copy pass that validates each one as it
+//!   goes: factors of ≤ 16 bytes (the overwhelming majority
 //!   per Figure 3) whose 16-byte window lies inside the dictionary take a
 //!   fixed-width copy that the compiler lowers to two unconditional vector
 //!   moves; longer factors are a checked `dict.get(pos..pos + len)` and a
@@ -569,9 +570,21 @@ pub fn decode_and_expand_scratch(
 ) -> Result<(), CodecError> {
     let (positions, lengths) = scratch.decode_streams(data, coding)?;
     let start = out.len();
-    // Every factor expands to at least one byte, and the short-factor fast
-    // path overshoots by up to WINDOW-1 bytes before truncating back.
-    out.reserve(positions.len() + SHORT_FACTOR_WINDOW);
+    // Reserve the whole document once, so a fresh `out` (a `get` into a
+    // new `Vec`, an MGET slot, a cache entry) is never regrown and ends at
+    // its exact size. A literal expands to one byte. The total is capped
+    // at one dictionary per factor, so lengths no valid record holds
+    // cannot force a huge allocation before the copy loop rejects them.
+    // The short-factor fast path overshoots by up to WINDOW-1 bytes
+    // before truncating back; reserve for that too.
+    let expanded: u64 = lengths
+        .iter()
+        .map(|&len| u64::from(len) + u64::from(len == 0))
+        .sum();
+    let cap = (lengths.len() as u64).saturating_mul(dict_bytes.len().max(1) as u64);
+    let expanded = usize::try_from(expanded.min(cap))
+        .map_err(|_| CodecError::Corrupt("document exceeds usize"))?;
+    out.reserve(expanded + SHORT_FACTOR_WINDOW);
     // A short factor at `pos < window_end` has a whole window inside the
     // dictionary, so that window also covers the factor itself.
     let window_end = (dict_bytes.len() + 1).saturating_sub(SHORT_FACTOR_WINDOW);
