@@ -38,14 +38,13 @@
 //! * **Fused** — [`decode_and_expand_scratch`] decodes both integer
 //!   streams into a caller-owned [`DecodeScratch`] (two `u32` buffers plus
 //!   the compressing coders' inflate buffer and reusable `Z`/`F` decode
-//!   tables), reserves `out` (exactly when it is a fresh buffer, from the
-//!   factor count when it is a reused one), then expands the factors in a
-//!   single copy pass that validates each one as it goes: factors of
-//!   ≤ 16 bytes (the overwhelming majority
-//!   per Figure 3) whose 16-byte window lies inside the dictionary take a
-//!   fixed-width copy that the compiler lowers to two unconditional vector
-//!   moves; longer factors are a checked `dict.get(pos..pos + len)` and a
-//!   plain `memcpy`; literals must be byte values. A bad factor truncates
+//!   tables), reserves `out` once from the summed lengths, then expands
+//!   the factors in a single copy pass that validates each one as it
+//!   goes: factors of ≤ 16 bytes (the overwhelming majority per Figure 3)
+//!   whose 16-byte window lies inside the dictionary take a fixed-width
+//!   copy that the compiler lowers to two unconditional vector moves;
+//!   longer factors are a checked `dict.get(pos..pos + len)` and a plain
+//!   `memcpy`; literals must be byte values. A bad factor truncates
 //!   `out` back to its length on entry, so an error appends nothing. A
 //!   caller that reuses its scratch and output buffer — the store layer
 //!   keeps one scratch per thread — performs **zero heap allocations** per
@@ -571,26 +570,22 @@ pub fn decode_and_expand_scratch(
 ) -> Result<(), CodecError> {
     let (positions, lengths) = scratch.decode_streams(data, coding)?;
     let start = out.len();
-    // A reused buffer (a warm `get_into`) already holds its high-water
-    // capacity, so reserving the factor count, a lower bound on the
-    // document's size, is enough. A fresh one (`DocStore::get`, an MGET
-    // slot, a cache entry) is sized exactly instead, at the cost of a pass
-    // over the lengths, so it is never regrown and keeps no slack. That
-    // total is capped at one dictionary per factor, so lengths no valid
-    // record holds cannot force a huge allocation before the copy loop
-    // rejects them. Either way the short-factor fast path may overshoot by
-    // up to WINDOW-1 bytes before truncating back.
-    let expanded = if out.capacity() == 0 {
-        let total: u64 = lengths
-            .iter()
-            .map(|&len| u64::from(len) + u64::from(len == 0))
-            .sum();
-        let cap = (lengths.len() as u64).saturating_mul(dict_bytes.len().max(1) as u64);
-        usize::try_from(total.min(cap))
-            .map_err(|_| CodecError::Corrupt("document exceeds usize"))?
-    } else {
-        positions.len()
-    };
+    // Reserve the whole document once, so `out` is grown at most once and
+    // a fresh one (`DocStore::get`, an MGET slot, a cache entry) ends at
+    // its exact size; reserving from the factor count instead regrows such
+    // buffers by doubling and leaves them up to half empty. A literal
+    // expands to one byte. The total is capped at one dictionary per
+    // factor, so lengths no valid record holds cannot force a huge
+    // allocation before the copy loop rejects them. The short-factor fast
+    // path overshoots by up to WINDOW-1 bytes before truncating back;
+    // reserve for that too.
+    let expanded: u64 = lengths
+        .iter()
+        .map(|&len| u64::from(len) + u64::from(len == 0))
+        .sum();
+    let cap = (lengths.len() as u64).saturating_mul(dict_bytes.len().max(1) as u64);
+    let expanded = usize::try_from(expanded.min(cap))
+        .map_err(|_| CodecError::Corrupt("document exceeds usize"))?;
     out.reserve(expanded + SHORT_FACTOR_WINDOW);
     // A short factor at `pos < window_end` has a whole window inside the
     // dictionary, so that window also covers the factor itself.
