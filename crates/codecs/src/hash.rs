@@ -42,9 +42,10 @@
 //! 1.2–1.3 GB/s, slicing-by-16 at 1.5–1.6 GB/s and a 3-way-interleaved
 //! slicing-by-8 with a GF(2) combine at 2.4–2.6 GB/s: every safe route
 //! stayed under 4 GB/s, and the CRC cost about as much as the read and the
-//! decode of the record together. One SSE4.2 stream runs at ≈ 6 GB/s there
-//! (≈ 0.3 µs per record against ≈ 1.6 µs), which is why it is the one
-//! exception.
+//! decode of the record together. One SSE4.2 stream runs at 6–8 GB/s
+//! there (≈ 0.3 µs per record against 1.5–1.9 µs), which is why it is the
+//! one exception. Interleaving hardware streams or PCLMUL folding would
+//! have at most those 0.3 µs left to win.
 
 use std::sync::OnceLock;
 
