@@ -26,11 +26,8 @@
 //!
 //! The crate is safe code except for one audited call: [`hash`] invokes its
 //! SSE4.2 backend only after detecting the feature at run time (its module
-//! docs give the safety argument). Every other item denies `unsafe`, and
-//! every `unsafe` block must carry a `// SAFETY:` comment.
+//! docs give the safety argument).
 
-// Unsafe code is confined to one call in the `hash` module; everything
-// else in the crate denies it.
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]

@@ -570,15 +570,13 @@ pub fn decode_and_expand_scratch(
 ) -> Result<(), CodecError> {
     let (positions, lengths) = scratch.decode_streams(data, coding)?;
     let start = out.len();
-    // Reserve the whole document once, so `out` is grown at most once and
-    // a fresh one (`DocStore::get`, an MGET slot, a cache entry) ends at
-    // its exact size; reserving from the factor count instead regrows such
-    // buffers by doubling and leaves them up to half empty. A literal
-    // expands to one byte. The total is capped at one dictionary per
-    // factor, so lengths no valid record holds cannot force a huge
-    // allocation before the copy loop rejects them. The short-factor fast
-    // path overshoots by up to WINDOW-1 bytes before truncating back;
-    // reserve for that too.
+    // Reserve the whole document once: a fresh `out` (`DocStore::get`, an
+    // MGET slot, a cache entry) then ends at its exact size, where
+    // reserving only the factor count regrows it by doubling. A literal
+    // expands to one byte. The cap of one dictionary per factor keeps
+    // lengths no valid record holds from forcing a huge allocation before
+    // the copy loop rejects them. The short-factor fast path overshoots by
+    // up to WINDOW-1 bytes before truncating back.
     let expanded: u64 = lengths
         .iter()
         .map(|&len| u64::from(len) + u64::from(len == 0))
@@ -772,6 +770,19 @@ mod tests {
             out.capacity(),
             out.len()
         );
+    }
+
+    #[test]
+    fn fused_decode_rejects_huge_lengths_without_reserving_them() {
+        // 1000 factors of u32::MAX bytes each: the summed length (4 TB)
+        // must not reach the allocator before the copy loop rejects them.
+        let factors = vec![Factor::copy(0, u32::MAX); 1000];
+        let enc = encode_document(&factors, PairCoding::UV);
+        let mut out = b"keep".to_vec();
+        let got = decode_and_expand(&enc, PairCoding::UV, b"tiny", &mut out);
+        assert_eq!(got, Err(CodecError::Corrupt("factor exceeds dictionary")));
+        assert_eq!(out, b"keep");
+        assert!(out.capacity() < 1 << 20, "reserved {}", out.capacity());
     }
 
     #[test]
