@@ -2,8 +2,8 @@
 //! construction, factorization, factor-stream codecs, the two
 //! general-purpose compressors, and store retrieval.
 //!
-//! `cargo bench --workspace` — complements the table harness binaries,
-//! which regenerate the paper's tables at collection scale.
+//! `cargo bench --workspace` — complements the `rlz-bench` table binary,
+//! which prints the paper's tables at collection scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rlz_core::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};

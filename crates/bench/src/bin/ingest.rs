@@ -1,13 +1,15 @@
 //! Ingest benchmark and CI crash-smoke driver for the live write path.
-//! Writes `BENCH_ingest.json` with three row groups:
+//! The benchmark prints three row groups:
 //!
-//! * `op=ingest` — acked-durable writes/s per fsync policy (`always`,
+//! * `ingest` — acked-durable writes/s per fsync policy (`always`,
 //!   `interval:5`, `never`): what each durability level costs.
-//! * `op=recovery` — time to reopen (WAL replay + segment load) after an
-//!   unclean drop, against the WAL length it had to replay.
-//! * `op=mixed` — read latency percentiles over the wire with the write
-//!   path idle (`phase=baseline`) vs under a concurrent throttled writer
-//!   (`phase=ingest`): ingestion must not blow up the read tail.
+//! * `recovery` — time to reopen (WAL replay + segment load) after an
+//!   unclean drop, against the WAL length it had to replay, which must be
+//!   more than zero frames.
+//! * `mixed` — read latency percentiles over the wire with the write path
+//!   idle (`baseline`) vs under a concurrent throttled writer (`ingest`):
+//!   the read p99 under ingest must stay within max(2× idle, idle +
+//!   500 µs).
 //!
 //! ```text
 //! ingest [--docs N] [--seed N]                 # local benchmark mode
@@ -22,7 +24,6 @@
 //! verifier fetches every acked id and compares it byte-for-byte against
 //! the deterministic content derived from the seed.
 
-use rlz_bench::report::{Report, Row};
 use rlz_repro::ingest::{doc_bytes, harness_config, open_or_create};
 use rlz_repro::serve::{serve, Client, ClientError, ServeConfig};
 use rlz_repro::store::{DocStore, FsyncPolicy, LiveStore, WriteStore};
@@ -71,7 +72,7 @@ impl Drop for Scratch {
 
 /// One policy: time `docs` acked puts, then time recovery of the dropped
 /// store (the WAL tail never saw a clean seal, so reopen replays it).
-fn ingest_and_recover(policy: FsyncPolicy, docs: u32, seed: u64, report: &mut Report) {
+fn ingest_and_recover(policy: FsyncPolicy, docs: u32, seed: u64) {
     let scratch = Scratch::new(policy.name().split(':').next().unwrap_or("policy"));
     // Big seal threshold: the WAL keeps most of the run, so the recovery
     // row measures real replay work, not an empty log.
@@ -92,14 +93,6 @@ fn ingest_and_recover(policy: FsyncPolicy, docs: u32, seed: u64, report: &mut Re
         "  ingest   fsync {:<10} {docs:>6} docs {docs_per_s:>9.0} docs/s {mb_per_s:>7.1} MB/s",
         policy.name()
     );
-    report.push(
-        Row::new()
-            .str("op", "ingest")
-            .str("fsync", policy.name())
-            .int("docs", docs as u64)
-            .num("docs_per_s", docs_per_s)
-            .num("mb_per_s", mb_per_s),
-    );
 
     let t = Instant::now();
     let recovered = LiveStore::open(scratch.path(), harness_config(policy, 4 << 20))
@@ -111,19 +104,15 @@ fn ingest_and_recover(policy: FsyncPolicy, docs: u32, seed: u64, report: &mut Re
         docs,
         "cleanly-dropped store must recover every doc"
     );
+    assert!(
+        r.replayed_frames > 0,
+        "recovery must replay the WAL tail the drop left behind"
+    );
     println!(
         "  recovery fsync {:<10} {:>6} frames {:>9} WAL bytes {recover_ms:>8.1} ms",
         policy.name(),
         r.replayed_frames,
         wal_bytes
-    );
-    report.push(
-        Row::new()
-            .str("op", "recovery")
-            .str("fsync", policy.name())
-            .int("wal_frames", r.replayed_frames)
-            .int("wal_bytes", wal_bytes)
-            .num("recover_ms", recover_ms),
     );
 }
 
@@ -158,7 +147,7 @@ fn read_phase(
 }
 
 /// Baseline vs under-ingest read tail against an in-process server.
-fn mixed_phase(docs: u32, frames: u32, seed: u64, report: &mut Report) {
+fn mixed_phase(docs: u32, frames: u32, seed: u64) {
     let scratch = Scratch::new("mixed");
     let policy = FsyncPolicy::Interval(Duration::from_millis(5));
     let store = open_or_create(scratch.path(), harness_config(policy, 1 << 20)).expect("create");
@@ -181,15 +170,6 @@ fn mixed_phase(docs: u32, frames: u32, seed: u64, report: &mut Report) {
 
     let (p50, p95, p99_base) = read_phase(addr, docs, frames, seed ^ 0xBA5E);
     println!("  mixed    phase baseline  p50 {p50:>6} us p95 {p95:>6} us p99 {p99_base:>6} us");
-    report.push(
-        Row::new()
-            .str("op", "mixed")
-            .str("phase", "baseline")
-            .int("frames", frames as u64)
-            .int("p50_us", p50)
-            .int("p95_us", p95)
-            .int("p99_us", p99_base),
-    );
 
     // A throttled writer (~200 docs/s over the wire) runs underneath the
     // second read pass — realistic trickle ingest, not a saturation test.
@@ -220,15 +200,6 @@ fn mixed_phase(docs: u32, frames: u32, seed: u64, report: &mut Report) {
         r
     });
     println!("  mixed    phase ingest    p50 {p50:>6} us p95 {p95:>6} us p99 {p99_ingest:>6} us");
-    report.push(
-        Row::new()
-            .str("op", "mixed")
-            .str("phase", "ingest")
-            .int("frames", frames as u64)
-            .int("p50_us", p50)
-            .int("p95_us", p95)
-            .int("p99_us", p99_ingest),
-    );
     handle.shutdown();
 
     // The acceptance bar: trickle ingest must keep the read tail within
@@ -336,22 +307,12 @@ fn main() {
     }
 
     println!("Live ingestion — durability cost, recovery time, read tail under writes\n");
-    let mut report = Report::new("ingest");
     for policy in [
         FsyncPolicy::Always,
         FsyncPolicy::Interval(Duration::from_millis(5)),
         FsyncPolicy::Never,
     ] {
-        ingest_and_recover(policy, docs, seed, &mut report);
+        ingest_and_recover(policy, docs, seed);
     }
-    mixed_phase(
-        docs.min(500),
-        (docs * 2).clamp(400, 4_000),
-        seed,
-        &mut report,
-    );
-    report
-        .write(Path::new("BENCH_ingest.json"))
-        .expect("write BENCH_ingest.json");
-    println!("\nwrote BENCH_ingest.json ({} rows)", report.len());
+    mixed_phase(docs.min(500), (docs * 2).clamp(400, 4_000), seed);
 }

@@ -7,7 +7,7 @@
 //! # Drive an external server (CI smoke flow):
 //! serve_load --addr 127.0.0.1:7641 --store DIR --smoke --verify \
 //!            [--connections N] [--batch N] [--pipeline N] [--requests N] \
-//!            [--append] [--shutdown]
+//!            [--shutdown]
 //!
 //! # Stop an external server without measuring anything:
 //! serve_load --addr 127.0.0.1:7641 --store DIR --shutdown-only
@@ -24,12 +24,10 @@
 //! nonzero), then the timed load. `--pipeline N` keeps N frames
 //! outstanding per connection in closed-loop mode. `--cache-bytes`
 //! configures the in-process server (external servers are configured by
-//! their own flags; rows are labelled from the live STAT response either
-//! way). Results land in `BENCH_serve.json` (`--out` to move, `--append`
-//! to keep an existing artifact's rows — how CI collects the cache-on and
-//! cache-off runs into one matrix).
+//! their own flags; the printed row's cache column comes from the live
+//! STAT response either way).
 
-use rlz_bench::serve::{self, Dist, LoadConfig, ServerLabels};
+use rlz_bench::serve::{self, Dist, LoadConfig};
 use rlz_bench::ScaledConfig;
 use rlz_core::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
 use rlz_serve::protocol::{self, STATUS_BAD_FRAME, STATUS_BAD_OPCODE, STATUS_OUT_OF_RANGE};
@@ -50,7 +48,6 @@ struct Args {
     verify: bool,
     shutdown: bool,
     shutdown_only: bool,
-    append: bool,
     connections: usize,
     batch: usize,
     pipeline: usize,
@@ -58,7 +55,6 @@ struct Args {
     dist: Dist,
     rate: Option<f64>,
     cache_bytes: usize,
-    out: PathBuf,
     wait_secs: u64,
     scaled: ScaledConfig,
 }
@@ -70,7 +66,7 @@ fn usage() -> ! {
          \x20                 [--requests N] [--dist seq|zipf|querylog] [--rate R]\n\
          \x20                 [--cache-bytes N]\n\
          \x20                 [--smoke] [--verify] [--shutdown] [--shutdown-only]\n\
-         \x20                 [--append] [--out FILE] [--wait-secs S] [--seed N]"
+         \x20                 [--wait-secs S] [--seed N]"
     );
     std::process::exit(2)
 }
@@ -85,7 +81,6 @@ fn parse_args(raw: &[String]) -> Args {
         verify: false,
         shutdown: false,
         shutdown_only: false,
-        append: false,
         connections: 4,
         batch: 1,
         pipeline: 1,
@@ -93,15 +88,10 @@ fn parse_args(raw: &[String]) -> Args {
         dist: Dist::QueryLog,
         rate: None,
         cache_bytes: 0,
-        out: PathBuf::from("BENCH_serve.json"),
         wait_secs: 15,
-        scaled: ScaledConfig::from_args(raw),
+        // The store build defaults to a small corpus.
+        scaled: ScaledConfig::from_args_sized(raw, 2),
     };
-    // `--size-mb N` defaults the store build to a small corpus unless
-    // overridden on the command line.
-    if !raw.iter().any(|a| a == "--size-mb") {
-        args.scaled.collection_bytes = 2 << 20;
-    }
     let mut i = 0;
     while i < raw.len() {
         let value = |i: &mut usize| -> String {
@@ -123,7 +113,6 @@ fn parse_args(raw: &[String]) -> Args {
             "--verify" => args.verify = true,
             "--shutdown" => args.shutdown = true,
             "--shutdown-only" => args.shutdown_only = true,
-            "--append" => args.append = true,
             "--connections" => args.connections = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--batch" => args.batch = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--pipeline" => args.pipeline = value(&mut i).parse().unwrap_or_else(|_| usage()),
@@ -131,7 +120,6 @@ fn parse_args(raw: &[String]) -> Args {
             "--dist" => args.dist = Dist::parse(&value(&mut i)).unwrap_or_else(|| usage()),
             "--rate" => args.rate = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
             "--cache-bytes" => args.cache_bytes = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--out" => args.out = PathBuf::from(value(&mut i)),
             "--wait-secs" => args.wait_secs = value(&mut i).parse().unwrap_or_else(|_| usage()),
             // ScaledConfig flags, already consumed by from_args above.
             "--size-mb" | "--seed" | "--threads" => {
@@ -325,35 +313,6 @@ fn smoke(addr: SocketAddr, truth: &dyn DocStore) {
     println!("serve_load: smoke ok (GET/MGET/STAT/pipelined byte-identical, error frames correct)");
 }
 
-/// Carries an existing artifact's rows into `report` so this run appends
-/// instead of replacing (CI collects the cache on/off matrix this way).
-fn carry_over_rows(report: &mut rlz_bench::report::Report, path: &Path) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return; // nothing to append to
-    };
-    let Ok(parsed) = rlz_bench::json::parse(&text) else {
-        eprintln!(
-            "serve_load: existing {} is not valid JSON; replacing it",
-            path.display()
-        );
-        return;
-    };
-    if parsed.get("bench").and_then(rlz_bench::json::Value::as_str) != Some("serve") {
-        eprintln!(
-            "serve_load: existing {} is not a serve artifact; replacing it",
-            path.display()
-        );
-        return;
-    }
-    let Some(rows) = parsed.get("rows").and_then(rlz_bench::json::Value::as_arr) else {
-        return;
-    };
-    // Prepend in reverse so the carried rows keep their original order.
-    for row in rows.iter().rev() {
-        report.prepend_rendered(row.to_json());
-    }
-}
-
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&raw);
@@ -426,12 +385,15 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // Row labels come from the live server, so they are truthful for
+    // The cache column comes from the live server, so it is truthful for
     // external servers too.
-    let labels = {
+    let cache = {
         let mut client = Client::connect(addr).expect("connect for STAT");
-        let stats = client.server_stat().expect("server STAT");
-        ServerLabels::from_stat(&stats)
+        client
+            .server_stat()
+            .expect("server STAT")
+            .cache_budget_bytes
+            > 0
     };
 
     if args.smoke {
@@ -471,7 +433,7 @@ fn main() -> ExitCode {
         }
     };
     serve::print_serve_header();
-    serve::print_serve_row(&load, &result, labels);
+    serve::print_serve_row(&load, &result, cache);
     println!(
         "serve_load: {} docs in {:.2}s = {:.0} docs/s, {:.1} MiB/s{}",
         result.docs,
@@ -484,18 +446,6 @@ fn main() -> ExitCode {
             ""
         }
     );
-
-    let mut report = rlz_bench::report::Report::new("serve");
-    report.push(serve::result_row(
-        &load,
-        &result,
-        truth.stats().payload_bytes,
-        labels,
-    ));
-    if args.append {
-        carry_over_rows(&mut report, &args.out);
-    }
-    report.write(&args.out).expect("write BENCH_serve.json");
 
     if args.shutdown {
         let mut client = Client::connect(addr).expect("connect for shutdown");

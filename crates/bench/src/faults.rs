@@ -1,25 +1,22 @@
-//! Fault-containment benchmark: what checksum scrubbing and overload
-//! control cost, and what they buy. Writes the machine-readable
-//! `BENCH_faults.json` artifact with three row groups:
+//! The fault-containment table (`rlz-bench faults`): what checksum
+//! scrubbing and overload control cost, and what they buy. Three sections:
 //!
-//! * `op=scrub` — offline scrub (checksum walk) throughput per store
-//!   family, the rate `rlz-verify` inspects a store at.
-//! * `op=warm_get` — warm in-process `get_into` throughput with the
-//!   CRC32C verified on every read (the CRC's own share of a get is the
+//! * scrub — offline scrub (checksum walk) throughput per store family,
+//!   the rate `rlz-verify` inspects a store at; a pristine store must
+//!   scrub clean.
+//! * warm get — warm in-process `get_into` throughput with the CRC32C
+//!   verified on every read (the CRC's own share of a get is the
 //!   yardstick's `store.crc_ns`).
-//! * `op=overload` — open-loop served load at a multiple of measured
-//!   capacity, with load shedding off vs on: shedding must keep the
-//!   latency tail bounded (`p99` of served requests) where the unshielded
-//!   server lets queueing delay grow with the backlog.
-//!
-//! `cargo run --release -p rlz-bench --bin faults [-- --size-mb N --requests N]`
+//! * overload — open-loop served load at a multiple of measured capacity,
+//!   with load shedding off vs on: shedding must keep the latency tail
+//!   bounded (`p99` of served requests) where the unshielded server lets
+//!   queueing delay grow with the backlog, and a server with shedding off
+//!   must shed nothing.
 
-use rlz_bench::report::{Report, Row};
-use rlz_bench::serve::{run_load, Dist, LoadConfig};
-use rlz_bench::{gov2_collection, ScaledConfig, WorkDir};
+use crate::serve::{run_load, Dist, LoadConfig};
+use crate::{gov2_collection, ScaledConfig, WorkDir};
 use rlz_corpus::access;
 use rlz_store::{AsciiStore, BlockCodec, BlockedStore, DocStore, RlzStore};
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -42,11 +39,7 @@ fn warm_rates(store: &dyn DocStore, ids: &[u32]) -> (f64, f64) {
     (ids.len() as f64 / s, bytes as f64 / (1024.0 * 1024.0) / s)
 }
 
-fn scrub_row(
-    family: &'static str,
-    report: &mut Report,
-    scrub: impl FnOnce() -> rlz_store::ScrubReport,
-) {
+fn scrub_row(family: &str, scrub: impl FnOnce() -> rlz_store::ScrubReport) {
     let t = Instant::now();
     let r = scrub();
     let s = t.elapsed().as_secs_f64().max(1e-9);
@@ -58,34 +51,17 @@ fn scrub_row(
         mb / s,
     );
     assert!(r.is_clean(), "{family}: pristine store must scrub clean");
-    report.push(
-        Row::new()
-            .str("op", "scrub")
-            .str("family", family)
-            .int("units", r.units)
-            .int("payload_bytes", r.bytes)
-            .num("mb_per_s", mb / s),
-    );
 }
 
-fn warm_get_row(family: &'static str, store: &dyn DocStore, ids: &[u32], report: &mut Report) {
+fn warm_get_row(family: &str, store: &dyn DocStore, ids: &[u32]) {
     let (docs_per_s, mb_per_s) = warm_rates(store, ids);
     println!("  warm_get {family:<8} {docs_per_s:>10.0} docs/s {mb_per_s:>9.1} MB/s");
-    report.push(
-        Row::new()
-            .str("op", "warm_get")
-            .str("family", family)
-            .num("docs_per_s", docs_per_s)
-            .num("mb_per_s", mb_per_s),
-    );
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ScaledConfig::from_args(&args);
-    let collection = gov2_collection(&cfg);
+/// `rlz-bench faults [--size-mb N --requests N]`.
+pub fn faults_table(cfg: &ScaledConfig) {
+    let collection = gov2_collection(cfg);
     let work = WorkDir::new("faults");
-    let mut report = Report::new("faults");
 
     println!(
         "Fault containment — scrub cost and overload shedding \
@@ -95,45 +71,45 @@ fn main() {
 
     // Build one store per family from the same collection.
     let dict_size = cfg.dict_sizes()[0];
-    let (rlz_dir, _) = rlz_bench::build_rlz_store(
+    let (rlz_dir, _) = crate::build_rlz_store(
         &work,
         "faults-rlz",
         &collection,
         dict_size,
         rlz_core::PairCoding::ZV,
-        &cfg,
+        cfg,
     );
-    let (blocked_dir, _) = rlz_bench::build_blocked_store(
+    let (blocked_dir, _) = crate::build_blocked_store(
         &work,
         "faults-blocked",
         &collection,
         BlockCodec::Zlite(rlz_zlite::Level::Default),
         64 * 1024,
-        &cfg,
+        cfg,
     );
-    let ascii_dir = rlz_bench::build_ascii_store(&work, "faults-ascii", &collection);
+    let ascii_dir = crate::build_ascii_store(&work, "faults-ascii", &collection);
 
     // --- Scrub throughput: the offline `rlz-verify` walk. ---
     println!("scrub throughput (checksum walk over every stored unit):");
     let rlz = RlzStore::open(&rlz_dir).expect("open rlz");
     let blocked = BlockedStore::open(&blocked_dir).expect("open blocked");
     let ascii = AsciiStore::open(&ascii_dir).expect("open ascii");
-    scrub_row("rlz", &mut report, || rlz.scrub());
-    scrub_row("blocked", &mut report, || blocked.scrub());
-    scrub_row("ascii", &mut report, || ascii.scrub());
+    scrub_row("rlz", || rlz.scrub());
+    scrub_row("blocked", || blocked.scrub());
+    scrub_row("ascii", || ascii.scrub());
     println!();
 
     // --- Warm get_into, CRC32C verified on every read. ---
     println!("warm get_into (checksum verified per read):");
-    let num_docs = rlz_store::DocStore::num_docs(&rlz);
+    let num_docs = rlz.num_docs();
     let ids = access::query_log(
         num_docs,
         cfg.requests.clamp(1_000, 50_000),
         20,
         cfg.seed ^ 0xFA,
     );
-    warm_get_row("rlz", &rlz, &ids, &mut report);
-    warm_get_row("ascii", &ascii, &ids, &mut report);
+    warm_get_row("rlz", &rlz, &ids);
+    warm_get_row("ascii", &ascii, &ids);
     println!();
 
     // --- Overload: open-loop past capacity, shedding off vs on. ---
@@ -201,24 +177,12 @@ fn main() {
              p50 {:>8} us p99 {:>8} us shed {:>6}",
             result.docs_per_s, result.p50_us, result.p99_us, result.shed
         );
-        report.push(
-            Row::new()
-                .str("op", "overload")
-                .str("shedding", shedding)
-                .num("offered_per_s", rate)
-                .int("served", result.frames as u64)
-                .int("shed", result.shed)
-                .num("docs_per_s", result.docs_per_s)
-                .num("mb_per_s", result.mb_per_s)
-                .int("p50_us", result.p50_us)
-                .int("p95_us", result.p95_us)
-                .int("p99_us", result.p99_us),
+        assert!(
+            depth > 0 || result.shed == 0,
+            "a server with shedding off shed {} requests",
+            result.shed
         );
         handle.shutdown();
     }
-
-    report
-        .write(Path::new("BENCH_faults.json"))
-        .expect("write BENCH_faults.json");
-    println!("\nwrote BENCH_faults.json ({} rows)", report.len());
+    println!();
 }

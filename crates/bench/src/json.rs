@@ -1,13 +1,9 @@
-//! A minimal JSON reader for validating and diffing benchmark artifacts.
+//! A minimal JSON reader for `ab_compare`: it reads `BENCHMARK.json` and
+//! the yardstick's one-line results.
 //!
-//! The container is offline (no serde), so `check_artifacts` and the
-//! perf-trend comparison parse the `BENCH_*.json` files with this small
-//! recursive-descent parser. It accepts exactly standard JSON (RFC 8259):
-//! objects, arrays, strings with escapes, numbers, booleans, null. It is
-//! the reading half of [`crate::report`]'s hand-rolled writer, and each
-//! round-trips the other.
-
-use std::fmt;
+//! The workspace has no serde, so this is a small recursive-descent
+//! parser. It accepts exactly standard JSON (RFC 8259): objects, arrays,
+//! strings with escapes, numbers, booleans, null.
 
 /// A parsed JSON value. Object fields keep file order (duplicate keys keep
 /// the first occurrence on lookup, like most readers).
@@ -17,8 +13,7 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (parsed as `f64`, which covers every value the
-    /// report writer emits).
+    /// Any JSON number, parsed as `f64`.
     Num(f64),
     /// A string.
     Str(String),
@@ -58,65 +53,6 @@ impl Value {
         match self {
             Value::Arr(items) => Some(items),
             _ => None,
-        }
-    }
-
-    /// Renders the value back to compact JSON (the writing complement of
-    /// [`parse`], used when an artifact is rewritten with appended rows).
-    /// Numbers that are whole render without a fraction so integer fields
-    /// survive a parse/render round trip unchanged.
-    pub fn to_json(&self) -> String {
-        match self {
-            Value::Null => "null".to_string(),
-            Value::Bool(b) => b.to_string(),
-            Value::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
-                format!("{}", *n as i64)
-            }
-            Value::Num(n) => format!("{n}"),
-            Value::Str(s) => quote(s),
-            Value::Arr(items) => {
-                let body: Vec<String> = items.iter().map(Value::to_json).collect();
-                format!("[{}]", body.join(", "))
-            }
-            Value::Obj(fields) => {
-                let body: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("{}: {}", quote(k), v.to_json()))
-                    .collect();
-                format!("{{{}}}", body.join(", "))
-            }
-        }
-    }
-}
-
-/// Minimal JSON string quoting (mirrors the report writer's escaping).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => write!(f, "null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Num(n) => write!(f, "{n}"),
-            Value::Str(s) => write!(f, "{s:?}"),
-            Value::Arr(items) => write!(f, "[{} items]", items.len()),
-            Value::Obj(fields) => write!(f, "{{{} fields}}", fields.len()),
         }
     }
 }
@@ -270,8 +206,8 @@ impl<'a> Parser<'a> {
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
-                            // Artifacts only escape control characters, so
-                            // surrogate pairs are not expected; map lone
+                            // The files read only escape control characters,
+                            // so surrogate pairs are not expected; map lone
                             // surrogates to the replacement character.
                             out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                             self.at += 4;
@@ -333,28 +269,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_report_output() {
-        let mut report = crate::report::Report::new("demo");
-        report.push(
-            crate::report::Row::new()
-                .str("corpus", "gov2\"quoted\"")
-                .int("corpus_bytes", 12345)
-                .num("mb_per_s", 88.25),
-        );
-        let v = parse(&report.to_json()).unwrap();
-        assert_eq!(v.get("bench").and_then(Value::as_str), Some("demo"));
-        assert_eq!(v.get("schema_version").and_then(Value::as_f64), Some(1.0));
-        let rows = v.get("rows").and_then(Value::as_arr).unwrap();
-        assert_eq!(rows.len(), 1);
+    fn parses_a_result_line() {
+        let v = parse(
+            r#"{"workload": "get \"uv\"", "attempted": 12345, "failed": 0,
+                "metrics": {"docs_s": {"value": 88.25, "unit": "docs/s"}}}"#,
+        )
+        .unwrap();
         assert_eq!(
-            rows[0].get("corpus").and_then(Value::as_str),
-            Some("gov2\"quoted\"")
+            v.get("workload").and_then(Value::as_str),
+            Some("get \"uv\"")
         );
-        assert_eq!(
-            rows[0].get("corpus_bytes").and_then(Value::as_f64),
-            Some(12345.0)
-        );
-        assert_eq!(rows[0].get("mb_per_s").and_then(Value::as_f64), Some(88.25));
+        assert_eq!(v.get("attempted").and_then(Value::as_f64), Some(12345.0));
+        assert_eq!(v.get("failed").and_then(Value::as_f64), Some(0.0));
+        let docs_s = v.get("metrics").and_then(|m| m.get("docs_s")).unwrap();
+        assert_eq!(docs_s.get("value").and_then(Value::as_f64), Some(88.25));
+        assert_eq!(v.get("missing"), None);
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Shared harness for the paper-reproduction benchmarks.
 //!
-//! Every table/figure binary uses this crate for: scaled experiment
-//! configuration (`ScaledConfig`), corpus construction, store building,
-//! timed retrieval runs, and aligned table printing. See `DESIGN.md` §4 for
-//! the experiment ↔ binary map and `EXPERIMENTS.md` for recorded results.
+//! The `rlz-bench <table>` binary prints each table through this crate:
+//! scaled experiment configuration (`ScaledConfig`), corpus construction,
+//! store building, timed retrieval runs, and aligned table printing. A
+//! table asserts its own acceptance bars where it measures them; it writes
+//! nothing but stdout.
 
 #![forbid(unsafe_code)]
 
+pub mod build;
+pub mod faults;
 pub mod json;
 pub mod promtext;
-pub mod report;
 pub mod serve;
 pub mod tables;
 
@@ -116,6 +118,16 @@ impl ScaledConfig {
         cfg
     }
 
+    /// [`ScaledConfig::from_args`], except that the collection is `mb` MiB
+    /// when the arguments do not say `--size-mb`.
+    pub fn from_args_sized(args: &[String], mb: usize) -> Self {
+        let mut cfg = ScaledConfig::from_args(args);
+        if !args.iter().any(|a| a == "--size-mb") {
+            cfg.collection_bytes = mb << 20;
+        }
+        cfg
+    }
+
     /// Concrete dictionary sizes in bytes, largest first (paper order).
     pub fn dict_sizes(&self) -> Vec<usize> {
         let mut v: Vec<usize> = self
@@ -179,30 +191,6 @@ pub struct RetrievalRates {
     pub sequential: f64,
     /// Documents per second under query-log requests.
     pub query_log: f64,
-}
-
-/// Runs both access patterns over a store and reports docs/second.
-pub fn measure_store(store: &dyn DocStore, cfg: &ScaledConfig) -> RetrievalRates {
-    let n = store.num_docs();
-    let sequential = access::sequential(n, cfg.requests);
-    let query_log = access::query_log(n, cfg.requests, 20, cfg.seed ^ 0xACCE55);
-    RetrievalRates {
-        sequential: docs_per_second(store, &sequential),
-        query_log: docs_per_second(store, &query_log),
-    }
-}
-
-/// Timed replay of a request stream.
-pub fn docs_per_second(store: &dyn DocStore, requests: &[u32]) -> f64 {
-    let mut buf = Vec::new();
-    let t = Instant::now();
-    for &id in requests {
-        buf.clear();
-        store
-            .get_into(id as usize, &mut buf)
-            .expect("retrieval failed during benchmark");
-    }
-    requests.len() as f64 / t.elapsed().as_secs_f64()
 }
 
 /// Timed replay that stops after `budget` wall-clock time (the paper replays

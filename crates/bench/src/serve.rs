@@ -19,7 +19,6 @@
 //! per connection** and cached, so verification cost does not scale with
 //! the Zipf repeat factor of the stream.
 
-use crate::report::{Report, Row};
 use rlz_corpus::access;
 use rlz_serve::Client;
 use rlz_store::DocStore;
@@ -368,64 +367,13 @@ pub fn run_load(
     })
 }
 
-/// Server-side properties a load row is labelled with (the load driver
-/// reads them from the extended STAT response or the in-process handle).
-#[derive(Debug, Clone, Copy)]
-pub struct ServerLabels {
-    /// `"on"` when the hot-document cache is enabled.
-    pub cache: &'static str,
-    /// `"on"` when the server collects metrics (the default); `"off"` is
-    /// the instrumentation-cost ablation. Part of the row identity so the
-    /// trend checker never compares across the ablation boundary.
-    pub metrics: &'static str,
-}
-
-impl ServerLabels {
-    /// Labels read from a live server's extended STAT response. STAT does
-    /// not carry the metrics switch, so this assumes the default (`"on"`);
-    /// a driver benchmarking the ablation sets the field itself.
-    pub fn from_stat(stats: &rlz_serve::ServeStats) -> Self {
-        ServerLabels {
-            cache: if stats.cache_budget_bytes > 0 {
-                "on"
-            } else {
-                "off"
-            },
-            metrics: "on",
-        }
+/// `"on"` or `"off"`, as the serve table prints a server switch.
+fn on_off(on: bool) -> &'static str {
+    if on {
+        "on"
+    } else {
+        "off"
     }
-}
-
-/// Renders one result as a report row (the `BENCH_serve.json` schema).
-pub fn result_row(
-    cfg: &LoadConfig,
-    result: &LoadResult,
-    payload_bytes: u64,
-    labels: ServerLabels,
-) -> Row {
-    Row::new()
-        .str(
-            "workload",
-            if cfg.rate.is_some() { "open" } else { "closed" },
-        )
-        .str("dist", cfg.dist.name())
-        // Part of the row identity: verified closed-loop runs spend client
-        // CPU on ground-truth decodes, so their throughput must never be
-        // trend-compared against unverified measurements.
-        .str("verified", if cfg.verify { "yes" } else { "no" })
-        .str("cache", labels.cache)
-        .str("metrics", labels.metrics)
-        .int("connections", cfg.connections as u64)
-        .int("batch", cfg.batch as u64)
-        .int("pipeline", cfg.pipeline as u64)
-        .int("requests", result.frames as u64)
-        .int("payload_bytes", payload_bytes)
-        .num("docs_per_s", result.docs_per_s)
-        .num("mb_per_s", result.mb_per_s)
-        .int("p50_us", result.p50_us)
-        .int("p95_us", result.p95_us)
-        .int("p99_us", result.p99_us)
-        .int("shed", result.shed)
 }
 
 const SERVE_WIDTHS: [usize; 12] = [8, 9, 6, 6, 5, 6, 8, 10, 9, 8, 8, 6];
@@ -451,8 +399,9 @@ pub fn print_serve_header() {
     );
 }
 
-/// Prints one serve-table row.
-pub fn print_serve_row(cfg: &LoadConfig, result: &LoadResult, labels: ServerLabels) {
+/// Prints one serve-table row; `cache` says whether the server's
+/// hot-document cache is on.
+pub fn print_serve_row(cfg: &LoadConfig, result: &LoadResult, cache: bool) {
     crate::print_row(
         &[
             if cfg.rate.is_some() { "open" } else { "closed" }.into(),
@@ -460,7 +409,7 @@ pub fn print_serve_row(cfg: &LoadConfig, result: &LoadResult, labels: ServerLabe
             cfg.connections.to_string(),
             cfg.batch.to_string(),
             cfg.pipeline.to_string(),
-            labels.cache.into(),
+            on_off(cache).into(),
             result.frames.to_string(),
             format!("{:.0}", result.docs_per_s),
             result.p50_us.to_string(),
@@ -472,16 +421,11 @@ pub fn print_serve_row(cfg: &LoadConfig, result: &LoadResult, labels: ServerLabe
     );
 }
 
-/// The `run_all`/standalone served-retrieval table: builds an RLZ store
-/// from `collection`, serves it in-process on a loopback socket, and
-/// sweeps connections × pipelining depth × hot-document cache on/off
-/// under closed-loop load, plus a Zipf cache-effectiveness pair and one
-/// paced open-loop run. Returns the `BENCH_serve.json` report.
-pub fn serve_table(
-    title: &str,
-    collection: &rlz_corpus::Collection,
-    cfg: &crate::ScaledConfig,
-) -> Report {
+/// The served-retrieval table: builds an RLZ store from `collection`,
+/// serves it in-process on a loopback socket, and sweeps connections ×
+/// pipelining depth × hot-document cache on/off under closed-loop load,
+/// plus a Zipf cache-effectiveness pair and one paced open-loop run.
+pub fn serve_table(title: &str, collection: &rlz_corpus::Collection, cfg: &crate::ScaledConfig) {
     use std::sync::Arc;
 
     println!("{title}");
@@ -500,17 +444,15 @@ pub fn serve_table(
         cfg,
     );
     let store = rlz_store::RlzStore::open(&dir).expect("open rlz store");
-    let store_stats = rlz_store::DocStore::stats(&store);
-    let num_docs = store_stats.num_docs as usize;
+    let num_docs = rlz_store::DocStore::num_docs(&store);
     // Budget sized to hold the hot set but not the whole collection, so
     // the on/off comparison measures a working cache, not a full mirror.
     let cache_budget = (collection.total_bytes() / 4).max(1 << 20);
     let frames = (cfg.requests / 4).clamp(200, 20_000);
-    let mut report = Report::new("serve");
 
     // The third sweep leg is the instrumentation-cost ablation: the same
-    // cache-off workload with metrics collection disabled, so the trend
-    // data carries a direct metrics-on vs metrics-off p99 comparison.
+    // cache-off workload with metrics collection disabled, so the table
+    // carries a direct metrics-on vs metrics-off p99 comparison.
     for (cache_bytes, metrics) in [(0usize, true), (cache_budget, true), (0usize, false)] {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let handle = rlz_serve::serve(
@@ -531,14 +473,12 @@ pub fn serve_table(
         )
         .expect("start in-process server");
         let addr = handle.addr();
-        let labels = ServerLabels {
-            cache: if cache_bytes > 0 { "on" } else { "off" },
-            metrics: if metrics { "on" } else { "off" },
-        };
+        let cache = cache_bytes > 0;
         println!(
             "store: Enc {pct:.2}%, {num_docs} docs, serving on {addr} \
              (cache {}, metrics {})\n",
-            labels.cache, labels.metrics
+            on_off(cache),
+            on_off(metrics)
         );
         print_serve_header();
 
@@ -560,13 +500,7 @@ pub fn serve_table(
             if connections == 1 && pipeline == 1 && batch == 1 {
                 closed_1conn_rate = result.docs_per_s;
             }
-            print_serve_row(&load, &result, labels);
-            report.push(result_row(
-                &load,
-                &result,
-                store_stats.payload_bytes,
-                labels,
-            ));
+            print_serve_row(&load, &result, cache);
         }
         // The ablation leg only needs the closed-loop sweep for the
         // instrumentation-cost comparison; skip the cache/pacing studies.
@@ -588,13 +522,7 @@ pub fn serve_table(
             verify: false,
         };
         let result = run_load(addr, None, num_docs, &zipf).expect("zipf load");
-        print_serve_row(&zipf, &result, labels);
-        report.push(result_row(
-            &zipf,
-            &result,
-            store_stats.payload_bytes,
-            labels,
-        ));
+        print_serve_row(&zipf, &result, cache);
         // Open-loop at ~60% of single-connection capacity: queueing delay
         // stays visible in the tail percentiles without saturating.
         let open = LoadConfig {
@@ -608,17 +536,10 @@ pub fn serve_table(
             verify: false,
         };
         let result = run_load(addr, None, num_docs, &open).expect("open-loop load");
-        print_serve_row(&open, &result, labels);
-        report.push(result_row(
-            &open,
-            &result,
-            store_stats.payload_bytes,
-            labels,
-        ));
+        print_serve_row(&open, &result, cache);
         println!();
         handle.shutdown();
     }
-    report
 }
 
 #[cfg(test)]

@@ -338,13 +338,7 @@ pub fn concurrent_retrieval_table(title: &str, collection: &Collection, cfg: &Sc
 /// paper's per-character `Refine` loop — across dictionary sizes. Also
 /// spot-checks that both emit identical factorizations before timing
 /// anything.
-///
-/// Returns the machine-readable report (`BENCH_factorize.json`).
-pub fn factorize_table(
-    title: &str,
-    collection: &Collection,
-    cfg: &ScaledConfig,
-) -> crate::report::Report {
+pub fn factorize_table(title: &str, collection: &Collection, cfg: &ScaledConfig) {
     println!("{title}");
     println!(
         "(single-threaded; {} MiB corpus; q = {} unless noted; 'plain' = \
@@ -366,7 +360,6 @@ pub fn factorize_table(
         ],
         &widths,
     );
-    let mut report = crate::report::Report::new("factorize");
     let docs: Vec<&[u8]> = collection.iter_docs().collect();
     for dict_size in cfg.dict_sizes() {
         let dict = Dictionary::sample(
@@ -405,22 +398,9 @@ pub fn factorize_table(
                 ],
                 &widths,
             );
-            report.push(
-                crate::report::Row::new()
-                    .str("corpus", "gov2-like")
-                    .int("corpus_bytes", collection.total_bytes() as u64)
-                    .int("dict_bytes", dict_size as u64)
-                    .int("sample_len", cfg.sample_len as u64)
-                    .int("q", dict.index_q() as u64)
-                    .str("matcher", matcher)
-                    .num("mb_per_s", m.mb_per_s)
-                    .num("docs_per_s", m.docs_per_s)
-                    .int("factors", m.factors),
-            );
         }
     }
     println!();
-    report
 }
 
 struct FactorizeRate {
@@ -473,13 +453,7 @@ fn factorize_rate(
 /// request-order fan-out, the seek-aware offset-ordered default, and (for
 /// the blocked store) block-coalesced decoding — on cold file-backed
 /// stores.
-///
-/// Returns the machine-readable report (`BENCH_batch.json`).
-pub fn batch_table(
-    title: &str,
-    collection: &Collection,
-    cfg: &ScaledConfig,
-) -> crate::report::Report {
+pub fn batch_table(title: &str, collection: &Collection, cfg: &ScaledConfig) {
     println!("{title}");
     println!(
         "(file-backed stores, {} worker thread(s), batches of {} query-log \
@@ -497,7 +471,6 @@ pub fn batch_table(
         ],
         &widths,
     );
-    let mut report = crate::report::Report::new("batch");
     let work = WorkDir::new("batch-tbl");
     let ids = access::query_log(
         collection.num_docs(),
@@ -506,7 +479,7 @@ pub fn batch_table(
         cfg.seed ^ 0xBA7C4,
     );
 
-    let mut run = |store_name: &str, pct: f64, store: &dyn DocStore, coalesced: bool| {
+    let run = |store_name: &str, pct: f64, store: &dyn DocStore, coalesced: bool| {
         let mut strategies: Vec<(&str, BatchFn)> = vec![
             ("unordered", get_batch_unordered),
             ("ordered", |s, ids, t| OffsetOrdered(s).get_batch(ids, t)),
@@ -527,17 +500,6 @@ pub fn batch_table(
                     format!("{:.1}", m.mb_per_s),
                 ],
                 &widths,
-            );
-            report.push(
-                crate::report::Row::new()
-                    .str("corpus", "gov2-like")
-                    .int("corpus_bytes", collection.total_bytes() as u64)
-                    .str("store", store_name)
-                    .str("strategy", strategy)
-                    .int("batch_size", BATCH_SIZE as u64)
-                    .int("threads", cfg.threads as u64)
-                    .num("docs_per_s", m.docs_per_s)
-                    .num("mb_per_s", m.mb_per_s),
             );
         }
     };
@@ -575,7 +537,6 @@ pub fn batch_table(
     drop(rlz);
     std::fs::remove_dir_all(&rlz_dir).ok();
     println!();
-    report
 }
 
 /// Requests per `get_batch` call in [`batch_table`].
@@ -675,45 +636,34 @@ fn batch_rate(
     }
 }
 
-/// Decode-throughput table (read path; extension beyond the paper):
-/// docs/second and MiB/second of factor decoding + expansion for every
-/// pair coding in the extended set (the paper's four plus the post-paper
-/// `F`/`L` entropy codecs), comparing the two-step oracle
-/// (`decode_document` + `expand`, allocating per document) against the
+/// Every pair coding the decode table sweeps: [`PairCoding::EXTENDED_SET`]
+/// plus the pairs built from the paper's future-work coders (`S`imple-9,
+/// `P`ForDelta, Elias `G`amma/`D`elta) and `VV`.
+const DECODE_SWEEP: [&str; 17] = [
+    "ZZ", "ZV", "UZ", "UV", "FF", "FV", "LL", "LV", "SV", "SS", "PV", "PP", "GV", "DV", "VV", "ZS",
+    "ZP",
+];
+
+/// Decode table (read path; the one coding table): per pair coding, the
+/// encoding percentage (encoded records + dictionary, relative to the raw
+/// corpus) and the position- and length-stream shares of it, then
+/// docs/second of factor decoding + expansion by the two-step oracle
+/// (`decode_document` + `expand`, allocating per document) and by the
 /// fused zero-allocation pipeline (`decode_and_expand_scratch` with one
-/// reused [`rlz_core::DecodeScratch`]). Each coding row also carries its
-/// encoding percentage (encoded streams + dictionary, relative to the raw
-/// corpus) so the ratio-vs-speed tradeoff is visible in one table.
-/// Verifies byte-identical output on a corpus sample before timing
-/// anything.
-///
-/// Returns the machine-readable report (`BENCH_decode.json`).
-pub fn decode_table(
-    title: &str,
-    collection: &Collection,
-    cfg: &ScaledConfig,
-) -> crate::report::Report {
+/// reused [`rlz_core::DecodeScratch`]). The last column places each coding
+/// on the (Enc.%, fused docs/s) frontier or names the codings that
+/// dominate it. Verifies byte-identical output on a corpus sample before
+/// timing anything.
+pub fn decode_table(title: &str, collection: &Collection, cfg: &ScaledConfig) {
     println!("{title}");
     let dict_size = cfg.dict_sizes()[1];
     println!(
-        "(single-threaded; {} MiB corpus, dict {}; 'two-step' = decode_document \
-         + expand oracle, 'fused' = zero-allocation decode_and_expand_scratch)\n",
+        "(single-threaded; {} MiB corpus, dict {}; Pos/Len = each stream's share \
+         of the corpus; 'two-step' = decode_document + expand oracle, 'fused' = \
+         zero-allocation decode_and_expand_scratch, both in docs/s)\n",
         collection.total_bytes() >> 20,
         dict_label(dict_size),
     );
-    let widths = [8usize, 10, 9, 12, 10, 9];
-    print_row(
-        &[
-            "Pos-Len".into(),
-            "Pipeline".into(),
-            "Enc.(%)".into(),
-            "docs/s".into(),
-            "MiB/s".into(),
-            "speedup".into(),
-        ],
-        &widths,
-    );
-    let mut report = crate::report::Report::new("decode");
     let dict = Dictionary::sample(
         &collection.data,
         dict_size,
@@ -725,14 +675,21 @@ pub fn decode_table(
         .iter_docs()
         .map(|doc| rlz_core::factorize_to_vec(&dict, doc))
         .collect();
-    for coding in PairCoding::EXTENDED_SET {
+    let pct = |bytes: u64| bytes as f64 * 100.0 / collection.total_bytes() as f64;
+    // Each coding's printed cells, and its (Enc.%, fused docs/s) point.
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut points = Vec::new();
+    for name in DECODE_SWEEP {
+        let coding = PairCoding::parse(name).expect("valid coding");
         let encoded: Vec<Vec<u8>> = parses
             .iter()
             .map(|f| rlz_core::coding::encode_document(f, coding))
             .collect();
         let encoded_bytes: u64 = encoded.iter().map(|e| e.len() as u64).sum();
-        let enc_pct =
-            (encoded_bytes + dict_size as u64) as f64 * 100.0 / collection.total_bytes() as f64;
+        let (pos_bytes, len_bytes) = encoded
+            .iter()
+            .map(|e| stream_bytes(e))
+            .fold((0, 0), |(p, l), (ep, el)| (p + ep, l + el));
         // Byte-identical check on a corpus sample before any timing.
         let mut scratch = rlz_core::DecodeScratch::new();
         for enc in encoded.iter().step_by((encoded.len() / 32).max(1)) {
@@ -750,67 +707,93 @@ pub fn decode_table(
             rlz_core::expand(dict.bytes(), &factors, &mut oracle).unwrap();
             assert_eq!(fused, oracle, "fused decode diverged from the oracle");
         }
-        let mut two_step_rate = 0.0f64;
-        for (pipeline, fused) in [("two-step", false), ("fused", true)] {
-            let m = decode_rate(&encoded, coding, dict.bytes(), fused, MEASURE_BUDGET);
-            let speedup = if fused {
-                format!("{:.2}x", m.docs_per_s / two_step_rate)
-            } else {
-                two_step_rate = m.docs_per_s;
-                "1.00x".to_string()
-            };
-            print_row(
-                &[
-                    coding.name(),
-                    pipeline.into(),
-                    format!("{enc_pct:.2}"),
-                    format!("{:.0}", m.docs_per_s),
-                    format!("{:.1}", m.mb_per_s),
-                    speedup,
-                ],
-                &widths,
-            );
-            report.push(
-                crate::report::Row::new()
-                    .str("corpus", "gov2-like")
-                    .int("corpus_bytes", collection.total_bytes() as u64)
-                    .int("dict_bytes", dict_size as u64)
-                    .str("coding", &coding.name())
-                    .str("pipeline", pipeline)
-                    .num("enc_pct", enc_pct)
-                    .num("docs_per_s", m.docs_per_s)
-                    .num("mb_per_s", m.mb_per_s),
-            );
-        }
+        let two_step = decode_rate(&encoded, coding, dict.bytes(), false, MEASURE_BUDGET);
+        let fused = decode_rate(&encoded, coding, dict.bytes(), true, MEASURE_BUDGET);
+        let enc_pct = pct(encoded_bytes + dict_size as u64);
+        rows.push(vec![
+            name.into(),
+            format!("{enc_pct:.2}"),
+            format!("{:.2}", pct(pos_bytes)),
+            format!("{:.2}", pct(len_bytes)),
+            format!("{two_step:.0}"),
+            format!("{fused:.0}"),
+            format!("{:.2}x", fused / two_step),
+        ]);
+        points.push((enc_pct, fused));
+    }
+
+    // The last column is unpadded: it ends the line.
+    let widths = [8usize, 8, 7, 7, 10, 10, 8, 0];
+    print_row(
+        &[
+            "Pos-Len".into(),
+            "Enc.(%)".into(),
+            "Pos(%)".into(),
+            "Len(%)".into(),
+            "two-step".into(),
+            "fused".into(),
+            "speedup".into(),
+            "Frontier".into(),
+        ],
+        &widths,
+    );
+    for (mut cells, dominators) in rows.into_iter().zip(dominators(&points)) {
+        cells.push(if dominators.is_empty() {
+            "frontier".into()
+        } else {
+            let names: Vec<&str> = dominators.iter().map(|&i| DECODE_SWEEP[i]).collect();
+            format!("dominated by {}", names.join(", "))
+        });
+        print_row(&cells, &widths);
     }
     println!();
-    report
 }
 
-/// Decode throughput of one timed sweep (see [`decode_rate`]).
-pub struct DecodeRate {
-    /// Documents decoded per second.
-    pub docs_per_s: f64,
-    /// Expanded output MiB per second.
-    pub mb_per_s: f64,
+/// `(position, length)` stream bytes of one encoded record, whose header
+/// is the factor count and then each stream's length-prefixed bytes.
+fn stream_bytes(record: &[u8]) -> (u64, u64) {
+    use rlz_codecs::vbyte::read_u32;
+    let header = "a record this table encoded has a header";
+    let mut at = 0;
+    read_u32(record, &mut at).expect(header); // the factor count
+    let pos = read_u32(record, &mut at).expect(header);
+    at += pos as usize;
+    let len = read_u32(record, &mut at).expect(header);
+    (u64::from(pos), u64::from(len))
+}
+
+/// For each `(Enc.%, docs/s)` point, the indices of the points that
+/// dominate it: no larger, no slower, and strictly better on one axis. A
+/// point nothing dominates is on the frontier; equal points never dominate
+/// each other.
+fn dominators(points: &[(f64, f64)]) -> Vec<Vec<usize>> {
+    points
+        .iter()
+        .map(|&(enc, rate)| {
+            (0..points.len())
+                .filter(|&j| {
+                    let (e, r) = points[j];
+                    e <= enc && r >= rate && (e < enc || r > rate)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Timed decode sweep over pre-encoded records (cycling until `budget`
-/// elapses). `fused == false` runs the two-step oracle with its per-doc
-/// allocations, exactly as `RlzStore::get_into` did before the fused
-/// pipeline existed. Shared by [`decode_table`] and the `ablation_search`
-/// binary so both report the same measurement.
-pub fn decode_rate(
+/// elapses), in docs/second. `fused == false` runs the two-step oracle
+/// with its per-doc allocations, exactly as `RlzStore::get_into` did
+/// before the fused pipeline existed.
+fn decode_rate(
     encoded: &[Vec<u8>],
     coding: PairCoding,
     dict_bytes: &[u8],
     fused: bool,
     budget: Duration,
-) -> DecodeRate {
+) -> f64 {
     let mut out = Vec::new();
     let mut scratch = rlz_core::DecodeScratch::new();
     let t = std::time::Instant::now();
-    let mut bytes = 0u64;
     let mut served = 0u64;
     'timed: while !encoded.is_empty() {
         for enc in encoded {
@@ -829,18 +812,13 @@ pub fn decode_rate(
                     rlz_core::coding::decode_document(enc, coding).expect("decode failed");
                 rlz_core::expand(dict_bytes, &factors, &mut out).expect("expand failed");
             }
-            bytes += out.len() as u64;
             served += 1;
             if served.is_multiple_of(64) && t.elapsed() >= budget {
                 break 'timed;
             }
         }
     }
-    let secs = t.elapsed().as_secs_f64();
-    DecodeRate {
-        docs_per_s: served as f64 / secs,
-        mb_per_s: bytes as f64 / (1 << 20) as f64 / secs,
-    }
+    served as f64 / t.elapsed().as_secs_f64()
 }
 
 /// Table 10: ZZ encoding % with dictionaries built from collection prefixes
@@ -868,9 +846,133 @@ pub fn table10(collection: &Collection, cfg: &ScaledConfig) {
     println!();
 }
 
+/// Blocks the cache ablation's cache holds; stated explicitly so the
+/// printed title matches the configured experiment.
+const CACHE_BLOCKS: usize = 32;
+
+/// Ablation: a shared sharded-LRU block cache on the blocked baselines (an
+/// extension the paper's baselines lack). Sequential access benefits
+/// massively (the next request usually hits the previous block), and
+/// query-log access exactly as far as the Zipf head fits in the cache,
+/// which explains why the paper's cache-less blocked systems are slow in
+/// both regimes.
+pub fn ablation_cache_table(collection: &Collection, cfg: &ScaledConfig) {
+    println!(
+        "Ablation — {CACHE_BLOCKS}-block sharded LRU cache on blocked zlib store \
+         ({} MiB corpus)\n",
+        cfg.collection_bytes >> 20
+    );
+    println!(
+        "{:>10} {:>7} {:>14} {:>13}",
+        "block(MB)", "cache", "seq docs/s", "qlog docs/s"
+    );
+    let work = WorkDir::new("ablation-cache");
+    let n = collection.num_docs();
+    for block in [100 * 1024usize, 1024 * 1024] {
+        let (dir, _) = build_blocked_store(
+            &work,
+            &format!("zl-{block}"),
+            collection,
+            BlockCodec::Zlite(rlz_zlite::Level::Default),
+            block,
+            cfg,
+        );
+        for cache in [false, true] {
+            let mut store = BlockedStore::open(&dir).expect("open");
+            store.set_block_cache_capacity(if cache { CACHE_BLOCKS } else { 0 });
+            let seq = crate::docs_per_second_budgeted(
+                &store,
+                &access::sequential(n, cfg.requests),
+                MEASURE_BUDGET,
+            );
+            let qlog = crate::docs_per_second_budgeted(
+                &store,
+                &access::query_log(n, cfg.requests, 20, 5),
+                MEASURE_BUDGET,
+            );
+            println!(
+                "{:>10.1} {:>7} {:>14.0} {:>13.0}",
+                block as f64 / (1 << 20) as f64,
+                if cache { "on" } else { "off" },
+                seq,
+                qlog
+            );
+        }
+    }
+    println!();
+}
+
+/// Ablation: dictionary sampling policy — evenly spaced (the paper's
+/// §3.3), random starts, and multi-pass prune-and-refill (the paper's §6
+/// future work / reference \[17\]).
+pub fn ablation_sampling_table(collection: &Collection, cfg: &ScaledConfig) {
+    let doc_bounds: Vec<usize> = std::iter::once(0)
+        .chain(collection.docs.iter().map(|d| d.offset + d.len))
+        .collect();
+    println!(
+        "Ablation — dictionary sampling policy (ZV coding, {} MiB corpus)\n",
+        cfg.collection_bytes >> 20
+    );
+    println!("{:>10} {:>22} {:>9}", "dict", "policy", "Enc.(%)");
+    let data = &collection.data;
+    for dict_size in cfg.dict_sizes() {
+        let evenly = Dictionary::sample(data, dict_size, cfg.sample_len, SampleStrategy::Evenly);
+        let random = Dictionary::sample(
+            data,
+            dict_size,
+            cfg.sample_len,
+            SampleStrategy::Random { seed: 0xAB },
+        );
+        let pruned = rlz_core::prune_and_refill(
+            evenly.clone(),
+            data,
+            &doc_bounds,
+            &rlz_core::PruneConfig::default(),
+        );
+        for (label, dict) in [
+            ("evenly (paper)", evenly),
+            ("random", random),
+            ("evenly + prune[17]", pruned),
+        ] {
+            let rlz = RlzCompressor::new(dict, PairCoding::ZV);
+            let enc = crate::parallel_doc_sizes(&rlz, collection, cfg.threads);
+            let pct = (enc + dict_size) as f64 * 100.0 / collection.total_bytes() as f64;
+            println!("{:>10} {:>22} {:>9.2}", dict_label(dict_size), label, pct);
+        }
+    }
+    println!();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn frontier_marks_exactly_the_undominated_points() {
+        // A single point is its own frontier.
+        assert_eq!(dominators(&[(10.0, 5.0)]), [Vec::<usize>::new()]);
+        // Equal points do not dominate each other.
+        assert_eq!(dominators(&[(10.0, 5.0), (10.0, 5.0)]), [vec![], vec![]]);
+        let points = [
+            (10.0, 100.0), // 0: frontier
+            (10.0, 90.0),  // 1: as small as 0, slower: dominated on one axis only
+            (12.0, 100.0), // 2: as fast as 0, larger: dominated on one axis only
+            (8.0, 50.0),   // 3: smaller but slower than 0: frontier
+            (13.0, 40.0),  // 4: worse than 0, 1, 2 and 3 on both axes
+            (8.0, 50.0),   // 5: ties 3, so both stay on the frontier
+        ];
+        assert_eq!(
+            dominators(&points),
+            [
+                vec![],
+                vec![0],
+                vec![0],
+                vec![],
+                vec![0, 1, 2, 3, 5],
+                vec![]
+            ]
+        );
+    }
 
     /// Every strategy of [`batch_table`] returns exactly the sequential
     /// gets, in request order, duplicates included, at any thread count.

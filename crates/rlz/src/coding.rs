@@ -800,7 +800,7 @@ mod tests {
                 decode_and_expand_scratch(&enc, PairCoding::UV, &dict, &mut out, &mut scratch)
                     .is_err()
             );
-            assert_eq!(out, b"keep", "pre-pass must reject before writing");
+            assert_eq!(out, b"keep", "a rejected factor must truncate out back");
         }
     }
 

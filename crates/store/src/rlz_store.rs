@@ -315,9 +315,10 @@ impl DocStore for RlzStore {
             })?;
             Ok(())
         });
-        // The fused path validates before writing, but keep the truncate as
-        // defence in depth: a failing get must never leave partial bytes
-        // behind in a reused buffer.
+        // The fused copy loop truncates `out` back itself when a factor
+        // fails validation; keep this truncate as defence in depth: a
+        // failing get must never leave partial bytes behind in a reused
+        // buffer.
         if result.is_err() {
             out.truncate(start);
         }

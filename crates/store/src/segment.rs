@@ -307,7 +307,7 @@ impl Manifest {
             .split_first()
             .ok_or_else(|| fail("truncated manifest"))?;
         if version != MANIFEST_VERSION {
-            return Err(fail("segment has unknown version"));
+            return Err(fail("manifest has unknown version"));
         }
         if rest.len() < 24 {
             return Err(fail("truncated manifest header"));
@@ -469,5 +469,18 @@ mod tests {
         data[6] ^= 0xFF;
         std::fs::write(dir.path().join(MANIFEST_FILE), &data).unwrap();
         assert!(Manifest::load(dir.path()).is_err());
+        // A version this build does not know, under a valid checksum, is
+        // reported as the manifest's.
+        let mut future = m.encode();
+        future[MANIFEST_MAGIC.len()] += 1;
+        let body = future.len() - 4;
+        let crc = crc32c(&future[..body]);
+        future[body..].copy_from_slice(&crc.to_le_bytes());
+        match Manifest::decode(&future) {
+            Err(StoreError::Corrupt { what, .. }) => {
+                assert_eq!(what, "manifest has unknown version")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 }
