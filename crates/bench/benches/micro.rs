@@ -6,6 +6,7 @@
 //! which prints the paper's tables at collection scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use rlz_core::coding::{Coder, StreamScratch};
 use rlz_core::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
 use rlz_corpus::{generate_web, WebConfig};
 use std::hint::black_box;
@@ -76,13 +77,16 @@ fn bench_int_codecs(c: &mut Criterion) {
         .collect();
     let mut group = c.benchmark_group("int_codecs_decode");
     group.throughput(Throughput::Elements(values.len() as u64));
-    for codec in rlz_codecs::all_codecs() {
-        let enc = codec.encode_to_vec(&values);
-        group.bench_with_input(BenchmarkId::from_parameter(codec.name()), &enc, |b, e| {
+    for coder in Coder::ALL {
+        let mut enc = Vec::new();
+        coder.encode_stream(&values, &mut enc);
+        group.bench_with_input(BenchmarkId::from_parameter(coder.letter()), &enc, |b, e| {
             let mut out = Vec::with_capacity(values.len());
+            let mut stage = StreamScratch::default();
             b.iter(|| {
-                out.clear();
-                codec.decode(black_box(e), values.len(), &mut out).unwrap();
+                coder
+                    .decode_stream_into(black_box(e), values.len(), &mut out, &mut stage)
+                    .unwrap();
             });
         });
     }

@@ -43,17 +43,6 @@ impl BitWriter {
         }
     }
 
-    /// Appends `n` zero bits followed by a one bit (unary code for `n`).
-    #[inline]
-    pub fn write_unary(&mut self, n: u32) {
-        let mut rest = n;
-        while rest >= MAX_BITS {
-            self.write_bits(0, MAX_BITS);
-            rest -= MAX_BITS;
-        }
-        self.write_bits(1u64 << rest, rest + 1);
-    }
-
     /// Number of bits written so far.
     #[inline]
     pub fn bit_len(&self) -> u64 {
@@ -177,25 +166,6 @@ impl<'a> BitReader<'a> {
         Ok(self.take(n))
     }
 
-    /// Reads a unary code: the count of zero bits before the next one bit.
-    #[inline]
-    pub fn read_unary(&mut self) -> Result<u32> {
-        let mut count = 0u32;
-        loop {
-            self.refill(1)?;
-            if self.acc & 1 == 1 {
-                self.take(1);
-                return Ok(count);
-            }
-            // Skip a run of zeros currently buffered.
-            let zeros = (self.acc.trailing_zeros()).min(self.nbits);
-            self.take(zeros);
-            count = count
-                .checked_add(zeros)
-                .ok_or(CodecError::Corrupt("unary run overflows u32"))?;
-        }
-    }
-
     /// Peeks at the next `n` bits without consuming them, zero-padding past
     /// the end of input (callers that rely on padding must ensure, as the
     /// `zlite` format does, that a terminator symbol stops decoding before
@@ -268,20 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn unary_roundtrip() {
-        let values = [0u32, 1, 2, 7, 8, 63, 64, 100, 1000];
-        let mut w = BitWriter::new();
-        for &v in &values {
-            w.write_unary(v);
-        }
-        let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        for &v in &values {
-            assert_eq!(r.read_unary().unwrap(), v);
-        }
-    }
-
-    #[test]
     fn eof_is_reported() {
         let mut r = BitReader::new(&[0xAB]);
         assert_eq!(r.read_bits(8).unwrap(), 0xAB);
@@ -297,18 +253,6 @@ mod tests {
         assert!(bytes.is_empty());
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(0).unwrap(), 0);
-    }
-
-    #[test]
-    fn unary_all_zero_bytes_then_one() {
-        // 20 zero bits spanning multiple refills.
-        let mut w = BitWriter::new();
-        w.write_unary(20);
-        w.write_bits(0b11, 2);
-        let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_unary().unwrap(), 20);
-        assert_eq!(r.read_bits(2).unwrap(), 0b11);
     }
 
     #[test]

@@ -5,21 +5,24 @@
 //! integer. It is the fastest coder to decode and the baseline the others
 //! are compared against.
 
-use crate::{CodecError, IntCodec, Result};
+use crate::{CodecError, Result};
 
 /// Raw little-endian `u32` codec.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FixedU32;
 
-impl IntCodec for FixedU32 {
-    fn encode(&self, values: &[u32], out: &mut Vec<u8>) {
+impl FixedU32 {
+    /// Appends the encoding of `values` to `out`.
+    pub fn encode(&self, values: &[u32], out: &mut Vec<u8>) {
         out.reserve(values.len() * 4);
         for &v in values {
             out.extend_from_slice(&v.to_le_bytes());
         }
     }
 
-    fn decode(&self, data: &[u8], n: usize, out: &mut Vec<u32>) -> Result<usize> {
+    /// Decodes exactly `n` values from the front of `data`, appending them
+    /// to `out`; returns the number of bytes consumed.
+    pub fn decode(&self, data: &[u8], n: usize, out: &mut Vec<u32>) -> Result<usize> {
         let need = n
             .checked_mul(4)
             .ok_or(CodecError::Corrupt("count overflow"))?;
@@ -35,10 +38,6 @@ impl IntCodec for FixedU32 {
         );
         Ok(need)
     }
-
-    fn name(&self) -> &'static str {
-        "u32"
-    }
 }
 
 #[cfg(test)]
@@ -48,22 +47,26 @@ mod tests {
     #[test]
     fn roundtrip() {
         let values = vec![0u32, 1, u32::MAX, 0xDEAD_BEEF];
-        let codec = FixedU32;
-        let enc = codec.encode_to_vec(&values);
+        let mut enc = Vec::new();
+        FixedU32.encode(&values, &mut enc);
         assert_eq!(enc.len(), 16);
-        assert_eq!(codec.decode_to_vec(&enc, 4).unwrap(), values);
+        enc.extend_from_slice(b"trailing");
+        let mut out = Vec::new();
+        assert_eq!(FixedU32.decode(&enc, 4, &mut out), Ok(16));
+        assert_eq!(out, values);
     }
 
     #[test]
     fn truncation_detected() {
-        let codec = FixedU32;
-        let enc = codec.encode_to_vec(&[1, 2, 3]);
-        assert!(codec.decode_to_vec(&enc[..11], 3).is_err());
+        let mut enc = Vec::new();
+        FixedU32.encode(&[1, 2, 3], &mut enc);
+        assert!(FixedU32.decode(&enc[..11], 3, &mut Vec::new()).is_err());
     }
 
     #[test]
     fn exactly_four_bytes_each() {
-        let codec = FixedU32;
-        assert_eq!(codec.encode_to_vec(&[9; 250]).len(), 1000);
+        let mut enc = Vec::new();
+        FixedU32.encode(&[9; 250], &mut enc);
+        assert_eq!(enc.len(), 1000);
     }
 }

@@ -7,7 +7,7 @@
 //! an escape selector (9) that stores one full 32-bit value in the following
 //! word so arbitrary `u32` input round-trips.
 
-use crate::{CodecError, IntCodec, Result};
+use crate::{CodecError, Result};
 
 /// (values per word, bits per value) for selectors 0..=8.
 const CONFIGS: [(usize, u32); 9] = [
@@ -29,8 +29,9 @@ const ESCAPE: u32 = 9;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Simple9;
 
-impl IntCodec for Simple9 {
-    fn encode(&self, values: &[u32], out: &mut Vec<u8>) {
+impl Simple9 {
+    /// Appends the encoding of `values` to `out`.
+    pub fn encode(&self, values: &[u32], out: &mut Vec<u8>) {
         let mut i = 0usize;
         while i < values.len() {
             if values[i] >= 1 << 28 {
@@ -69,7 +70,9 @@ impl IntCodec for Simple9 {
         }
     }
 
-    fn decode(&self, data: &[u8], n: usize, out: &mut Vec<u32>) -> Result<usize> {
+    /// Decodes exactly `n` values from the front of `data`, appending them
+    /// to `out`; returns the number of bytes consumed.
+    pub fn decode(&self, data: &[u8], n: usize, out: &mut Vec<u32>) -> Result<usize> {
         let mut pos = 0usize;
         let mut produced = 0usize;
         // One 4-byte word yields at most 28 values: capping the reservation
@@ -103,46 +106,57 @@ impl IntCodec for Simple9 {
         }
         Ok(pos)
     }
-
-    fn name(&self) -> &'static str {
-        "simple9"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn encode(values: &[u32]) -> Vec<u8> {
+        let mut enc = Vec::new();
+        Simple9.encode(values, &mut enc);
+        enc
+    }
+
+    fn decode(data: &[u8], n: usize) -> Result<Vec<u32>> {
+        let mut out = Vec::new();
+        Simple9.decode(data, n, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn packs_28_single_bits_in_one_word() {
         let values = vec![1u32; 28];
-        let enc = Simple9.encode_to_vec(&values);
+        let enc = encode(&values);
         assert_eq!(enc.len(), 4);
-        assert_eq!(Simple9.decode_to_vec(&enc, 28).unwrap(), values);
+        assert_eq!(decode(&enc, 28).unwrap(), values);
     }
 
     #[test]
     fn escape_handles_large_values() {
         let values = vec![u32::MAX, 1 << 28, (1 << 28) - 1];
-        let enc = Simple9.encode_to_vec(&values);
-        let dec = Simple9.decode_to_vec(&enc, values.len()).unwrap();
-        assert_eq!(dec, values);
+        let mut enc = encode(&values);
+        let len = enc.len();
+        enc.extend_from_slice(b"trailing");
+        let mut out = Vec::new();
+        assert_eq!(Simple9.decode(&enc, values.len(), &mut out), Ok(len));
+        assert_eq!(out, values);
     }
 
     #[test]
     fn partial_final_group() {
         // 3 one-bit values: packed with the 28×1 selector, padded.
         let values = vec![1u32, 0, 1];
-        let enc = Simple9.encode_to_vec(&values);
+        let enc = encode(&values);
         assert_eq!(enc.len(), 4);
-        assert_eq!(Simple9.decode_to_vec(&enc, 3).unwrap(), values);
+        assert_eq!(decode(&enc, 3).unwrap(), values);
     }
 
     #[test]
     fn mixed_magnitudes() {
         let values: Vec<u32> = (0..500).map(|i| (i * i * 31) % 100_000).collect();
-        let enc = Simple9.encode_to_vec(&values);
-        assert_eq!(Simple9.decode_to_vec(&enc, values.len()).unwrap(), values);
+        let enc = encode(&values);
+        assert_eq!(decode(&enc, values.len()).unwrap(), values);
         // Should be denser than raw u32 for this distribution.
         assert!(enc.len() < values.len() * 4);
     }
@@ -152,7 +166,7 @@ mod tests {
         // Selectors 10..15 are undefined.
         let word = (10u32 << 28).to_le_bytes();
         assert_eq!(
-            Simple9.decode_to_vec(&word, 1),
+            decode(&word, 1),
             Err(CodecError::Corrupt("invalid simple9 selector"))
         );
     }

@@ -5,7 +5,7 @@
 //! so the vast majority of lengths take a single byte, which is exactly why
 //! the paper picked vbyte for the `V` coders.
 
-use crate::{CodecError, IntCodec, Result};
+use crate::{CodecError, Result};
 
 /// The variable-byte codec.
 #[derive(Debug, Clone, Copy, Default)]
@@ -105,15 +105,18 @@ pub fn read_u64(data: &[u8], pos: &mut usize) -> Result<u64> {
     }
 }
 
-impl IntCodec for VByte {
-    fn encode(&self, values: &[u32], out: &mut Vec<u8>) {
+impl VByte {
+    /// Appends the encoding of `values` to `out`.
+    pub fn encode(&self, values: &[u32], out: &mut Vec<u8>) {
         out.reserve(values.len());
         for &v in values {
             write_u32(v, out);
         }
     }
 
-    fn decode(&self, data: &[u8], n: usize, out: &mut Vec<u32>) -> Result<usize> {
+    /// Decodes exactly `n` values from the front of `data`, appending them
+    /// to `out`; returns the number of bytes consumed.
+    pub fn decode(&self, data: &[u8], n: usize, out: &mut Vec<u32>) -> Result<usize> {
         let mut pos = 0usize;
         out.reserve(n.min(data.len()));
         let mut remaining = n;
@@ -150,10 +153,6 @@ impl IntCodec for VByte {
             out.push(read_u32(data, &mut pos)?);
         }
         Ok(pos)
-    }
-
-    fn name(&self) -> &'static str {
-        "vbyte"
     }
 }
 
@@ -224,7 +223,6 @@ mod tests {
 
     #[test]
     fn word_fast_path_matches_scalar_decoding() {
-        use crate::IntCodec;
         // Mix runs of single-byte values (fast path) with multi-byte values
         // (scalar fallback) at every alignment relative to the 8-byte word.
         for lead in 0..9usize {
@@ -233,11 +231,15 @@ mod tests {
             values.extend(0..23u32); // long single-byte tail
             values.push(u32::MAX);
             values.extend(100..105u32); // short tail below 8 values
-            let enc = VByte.encode_to_vec(&values);
-            let mut out = vec![99u32; 4]; // stale contents must be replaced
-            let used = VByte.decode_into(&enc, values.len(), &mut out).unwrap();
-            assert_eq!(used, enc.len(), "lead {lead}");
-            assert_eq!(out, values, "lead {lead}");
+            let mut enc = Vec::new();
+            VByte.encode(&values, &mut enc);
+            let len = enc.len();
+            enc.extend_from_slice(b"trailing");
+            let mut out = vec![99u32; 4]; // decode appends after these
+            let used = VByte.decode(&enc, values.len(), &mut out).unwrap();
+            assert_eq!(used, len, "lead {lead}");
+            assert_eq!(out[..4], [99; 4], "lead {lead}");
+            assert_eq!(out[4..], values, "lead {lead}");
         }
     }
 

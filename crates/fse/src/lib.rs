@@ -52,30 +52,3 @@ impl FseScratch {
         &mut self.table[..size]
     }
 }
-
-/// Convenience wrapper: tANS-compresses `input` into a fresh buffer.
-pub fn compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    tans::compress(input, &mut out);
-    out
-}
-
-/// Convenience wrapper: decompresses a [`tans`] container into a fresh
-/// buffer with fresh scratch.
-pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    let mut scratch = FseScratch::default();
-    tans::decompress_into(data, &mut out, &mut scratch)?;
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn crate_level_roundtrip() {
-        let data = b"entropy coding for factor streams ".repeat(64);
-        let comp = super::compress(&data);
-        assert!(comp.len() < data.len());
-        assert_eq!(super::decompress(&comp).unwrap(), data);
-    }
-}

@@ -10,10 +10,16 @@
 //!   `zlite` at best effort, matching the paper's "zlib with z best
 //!   compression"),
 //!
-//! giving `ZZ`, `ZV`, `UZ`, `UV`. The future-work codecs Simple-9,
-//! PForDelta and Elias γ/δ are also wired in (`S`, `P`, `G`, `D`) for the
-//! ablation benchmarks, and two post-paper codecs extend the family where
-//! modern entropy coding has moved since 2011:
+//! giving `ZZ`, `ZV`, `UZ`, `UV`. The paper's future-work section names two
+//! more integer codes, and both are wired in:
+//!
+//! * `P` — PForDelta: `PV`, `PP` and `PS` are the smallest pairs on the
+//!   measured (size, decode speed) frontier, the archival codings,
+//! * `S` — Simple-9, kept as a length coder: `PS` is the smallest pair of
+//!   all,
+//!
+//! and two post-paper codecs extend the family where modern entropy coding
+//! has moved since 2011:
 //!
 //! * `F` — FSE/tANS entropy coding of the stream's variable-byte image
 //!   (`rlz_fse::tans`): Z-class ratio with a table-driven decode loop that
@@ -58,7 +64,7 @@
 //! before any value decoding happens.
 
 use crate::factor::Factor;
-use rlz_codecs::{elias, fixed, pfor, simple9, vbyte, CodecError, IntCodec};
+use rlz_codecs::{fixed, pfor, simple9, vbyte, CodecError};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -76,10 +82,6 @@ pub enum Coder {
     Simple9,
     /// `P`: PForDelta (future work in the paper).
     PFor,
-    /// `G`: Elias gamma.
-    Gamma,
-    /// `D`: Elias delta.
-    Delta,
     /// `F`: FSE/tANS entropy coding of the variable-byte image.
     Fse,
     /// `L`: LZ4-style fast-literal compression of the raw 32-bit image.
@@ -88,14 +90,12 @@ pub enum Coder {
 
 /// The single source of truth for coder letters: every parse, letter
 /// lookup and error message derives from this table.
-const CODERS: [(char, Coder); 9] = [
+const CODERS: [(char, Coder); 7] = [
     ('U', Coder::U32),
     ('V', Coder::VByte),
     ('Z', Coder::Zlib),
     ('S', Coder::Simple9),
     ('P', Coder::PFor),
-    ('G', Coder::Gamma),
-    ('D', Coder::Delta),
     ('F', Coder::Fse),
     ('L', Coder::Lz4),
 ];
@@ -136,6 +136,17 @@ impl fmt::Display for ParseCodingError {
 impl std::error::Error for ParseCodingError {}
 
 impl Coder {
+    /// Every coder, in letter-table order.
+    pub const ALL: [Coder; CODERS.len()] = {
+        let mut all = [Coder::U32; CODERS.len()];
+        let mut i = 0;
+        while i < CODERS.len() {
+            all[i] = CODERS[i].1;
+            i += 1;
+        }
+        all
+    };
+
     /// Parses the single-letter name used in the paper's tables
     /// (case-insensitive).
     pub fn parse(letter: char) -> Result<Coder, ParseCodingError> {
@@ -162,9 +173,7 @@ impl Coder {
             Coder::U32 => fixed::FixedU32.encode(values, out),
             Coder::VByte => vbyte::VByte.encode(values, out),
             Coder::Simple9 => simple9::Simple9.encode(values, out),
-            Coder::PFor => pfor::PForDelta::default().encode(values, out),
-            Coder::Gamma => elias::EliasGamma.encode(values, out),
-            Coder::Delta => elias::EliasDelta.encode(values, out),
+            Coder::PFor => pfor::PForDelta.encode(values, out),
             Coder::Zlib => ENCODE_STAGE_SCRATCH.with(|cell| {
                 // The raw u32 staging buffer is per-thread scratch: bulk
                 // compression encodes millions of documents, and a fresh
@@ -215,27 +224,24 @@ impl Coder {
             fse,
             zlite,
         } = stage;
+        out.clear();
         match self {
-            Coder::U32 => fixed::FixedU32.decode_into(data, n, out).map(drop),
-            Coder::VByte => vbyte::VByte.decode_into(data, n, out).map(drop),
-            Coder::Simple9 => simple9::Simple9.decode_into(data, n, out).map(drop),
-            Coder::PFor => pfor::PForDelta::default()
-                .decode_into(data, n, out)
-                .map(drop),
-            Coder::Gamma => elias::EliasGamma.decode_into(data, n, out).map(drop),
-            Coder::Delta => elias::EliasDelta.decode_into(data, n, out).map(drop),
+            Coder::U32 => fixed::FixedU32.decode(data, n, out).map(drop),
+            Coder::VByte => vbyte::VByte.decode(data, n, out).map(drop),
+            Coder::Simple9 => simple9::Simple9.decode(data, n, out).map(drop),
+            Coder::PFor => pfor::PForDelta.decode(data, n, out).map(drop),
             Coder::Zlib => {
                 rlz_zlite::decompress_into(data, inflate, zlite)?;
                 if Some(inflate.len()) != n.checked_mul(4) {
                     return Err(CodecError::Corrupt("Z stream count mismatch"));
                 }
-                fixed::FixedU32.decode_into(inflate, n, out).map(drop)
+                fixed::FixedU32.decode(inflate, n, out).map(drop)
             }
             Coder::Fse => {
                 rlz_fse::tans::decompress_into(data, inflate, fse)?;
                 // The inflate buffer holds the vbyte image; requiring the
                 // decode to consume it exactly pins the value count.
-                let consumed = vbyte::VByte.decode_into(inflate, n, out)?;
+                let consumed = vbyte::VByte.decode(inflate, n, out)?;
                 if consumed != inflate.len() {
                     return Err(CodecError::Corrupt("F stream count mismatch"));
                 }
@@ -246,7 +252,7 @@ impl Coder {
                 if Some(inflate.len()) != n.checked_mul(4) {
                     return Err(CodecError::Corrupt("L stream count mismatch"));
                 }
-                fixed::FixedU32.decode_into(inflate, n, out).map(drop)
+                fixed::FixedU32.decode(inflate, n, out).map(drop)
             }
         }
     }
@@ -322,12 +328,30 @@ impl PairCoding {
         len: Coder::VByte,
     };
 
+    /// PForDelta positions, vbyte lengths — the fastest archival coding.
+    pub const PV: PairCoding = PairCoding {
+        pos: Coder::PFor,
+        len: Coder::VByte,
+    };
+    /// PForDelta positions, PForDelta lengths.
+    pub const PP: PairCoding = PairCoding {
+        pos: Coder::PFor,
+        len: Coder::PFor,
+    };
+    /// PForDelta positions, Simple-9 lengths — the smallest coding on the
+    /// measured frontier.
+    pub const PS: PairCoding = PairCoding {
+        pos: Coder::PFor,
+        len: Coder::Simple9,
+    };
+
     /// The four combinations evaluated in Tables 4, 5 and 8.
     pub const PAPER_SET: [PairCoding; 4] = [Self::ZZ, Self::ZV, Self::UZ, Self::UV];
 
-    /// The paper's set plus the post-paper F/L codecs — what the decode
-    /// benchmark and the oracle-equality tests sweep.
-    pub const EXTENDED_SET: [PairCoding; 8] = [
+    /// The paper's set plus the post-paper F/L pairs and the archival `P`
+    /// pairs — what the record-level oracle-equality and hostility tests
+    /// sweep.
+    pub const EXTENDED_SET: [PairCoding; 11] = [
         Self::ZZ,
         Self::ZV,
         Self::UZ,
@@ -336,6 +360,9 @@ impl PairCoding {
         Self::FV,
         Self::LL,
         Self::LV,
+        Self::PV,
+        Self::PP,
+        Self::PS,
     ];
 
     /// Parses a two-letter name such as `"ZV"`.
@@ -433,7 +460,7 @@ pub fn decode_document(data: &[u8], coding: PairCoding) -> Result<Vec<Factor>, C
 /// DEFLATE-class match token can cost as little as ~2 bits and emit up to
 /// 258 raw bytes, so one compressed byte can expand to ~1032 raw bytes =
 /// 258 u32 values; the bit-packed coders top out far lower (PForDelta
-/// width-0 ≈ 64 values/byte at the default block size, γ/δ 8, Simple-9 7).
+/// width-0 ≈ 64 values/byte, Simple-9 7).
 /// 1024 leaves headroom above all of them. Used to reject a corrupt factor
 /// count before it drives any allocation or decoding.
 const MAX_VALUES_PER_STREAM_BYTE: u64 = 1024;
@@ -638,8 +665,8 @@ mod tests {
     fn all_pair_codings_roundtrip() {
         let factors = sample_factors();
         for name in [
-            "ZZ", "ZV", "UZ", "UV", "SS", "PP", "GV", "DV", "SV", "PV", "FF", "FV", "LL", "LV",
-            "FZ", "LF",
+            "ZZ", "ZV", "UZ", "UV", "SS", "PP", "PS", "SV", "PV", "FF", "FV", "LL", "LV", "FZ",
+            "LF",
         ] {
             let coding = PairCoding::parse(name).unwrap();
             assert_eq!(coding.name(), name.to_uppercase());
@@ -737,7 +764,7 @@ mod tests {
         ];
         let mut scratch = DecodeScratch::new();
         for name in [
-            "ZZ", "ZV", "UZ", "UV", "SS", "PP", "GV", "DV", "FF", "FV", "LL", "LV",
+            "ZZ", "ZV", "UZ", "UV", "SS", "PP", "PS", "FF", "FV", "LL", "LV",
         ] {
             let coding = PairCoding::parse(name).unwrap();
             for factors in &shapes {

@@ -246,24 +246,64 @@ impl ServerHandle {
 /// Starts serving `store` on `listener` with `cfg.threads` workers.
 ///
 /// The listener is switched to nonblocking mode and try-cloned into every
-/// worker. Returns immediately; use the handle to join or stop.
+/// worker. Every fallible resource (the metrics listener, the wake fd, each
+/// worker's epoll and listener clone) is created before the first thread
+/// starts, so an `Err` leaves nothing serving and a `/metrics` listener
+/// exists before any request is answered. Returns immediately; use the
+/// handle to join or stop.
 pub fn serve(
     store: Arc<dyn DocStore>,
     listener: TcpListener,
     cfg: ServeConfig,
 ) -> io::Result<ServerHandle> {
+    if cfg.metrics_addr.is_some() && !cfg.metrics {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "metrics_addr requires ServeConfig::metrics",
+        ));
+    }
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let http = cfg.metrics_addr.map(TcpListener::bind).transpose()?;
+    if let Some(http) = &http {
+        http.set_nonblocking(true)?;
+    }
+    let metrics_addr = http.as_ref().map(TcpListener::local_addr).transpose()?;
+    let wake = WakeFd::new()?;
+    let threads = cfg.threads.max(1);
+    let worker_io = (0..threads)
+        .map(|_| Ok((Epoll::new()?, listener.try_clone()?)))
+        .collect::<io::Result<Vec<_>>>()?;
+
     let stop = Arc::new(AtomicBool::new(false));
     let overload = Overload::from_config(&cfg);
     let cache: Option<Arc<ShardedLru>> =
         (cfg.cache_bytes > 0).then(|| Arc::new(ShardedLru::with_byte_budget(cfg.cache_bytes)));
     let metrics: Option<Arc<Metrics>> = cfg.metrics.then(|| Arc::new(Metrics::new()));
-    let threads = cfg.threads.max(1);
-    let mut workers = Vec::with_capacity(threads + 1);
-    let wake = WakeFd::new()?;
-    for w in 0..threads {
-        let listener = listener.try_clone()?;
+    let mut handle = ServerHandle {
+        addr,
+        metrics_addr,
+        stop: Arc::clone(&stop),
+        wake: wake.clone(),
+        workers: Vec::with_capacity(threads + 1),
+    };
+    // The metrics listener starts first, so it is up before any worker
+    // answers a request.
+    let mut started = Ok(());
+    if let (Some(http), Some(metrics)) = (http, &metrics) {
+        let metrics = Arc::clone(metrics);
+        let store = Arc::clone(&store);
+        let cache = cache.clone();
+        let writer = cfg.writer.clone();
+        let stop = Arc::clone(&stop);
+        started = spawn_named(&mut handle.workers, "rlz-metrics-http".into(), move || {
+            metrics_http_loop(http, metrics, store, cache, writer, stop)
+        });
+    }
+    for (w, (ep, listener)) in worker_io.into_iter().enumerate() {
+        if started.is_err() {
+            break;
+        }
         let store = Arc::clone(&store);
         let stop = Arc::clone(&stop);
         let mut responder = Responder::new(cfg.batch_threads, cfg.allow_shutdown);
@@ -277,44 +317,27 @@ pub fn serve(
             responder = responder.with_metrics(Arc::clone(metrics));
         }
         let overload = overload.clone();
-        let ep = Epoll::new()?;
         let wake = wake.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("rlz-serve-{w}"))
-            .spawn(move || worker_loop(ep, listener, store, stop, responder, wake, overload))?;
-        workers.push(handle);
+        started = spawn_named(&mut handle.workers, format!("rlz-serve-{w}"), move || {
+            worker_loop(ep, listener, store, stop, responder, wake, overload)
+        });
     }
-    let metrics_addr = match (cfg.metrics_addr, &metrics) {
-        (Some(bind_addr), Some(metrics)) => {
-            let http = TcpListener::bind(bind_addr)?;
-            http.set_nonblocking(true)?;
-            let bound = http.local_addr()?;
-            let metrics = Arc::clone(metrics);
-            let store = Arc::clone(&store);
-            let cache = cache.clone();
-            let writer = cfg.writer.clone();
-            let stop = Arc::clone(&stop);
-            let handle = std::thread::Builder::new()
-                .name("rlz-metrics-http".into())
-                .spawn(move || metrics_http_loop(http, metrics, store, cache, writer, stop))?;
-            workers.push(handle);
-            Some(bound)
-        }
-        (Some(_), None) => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "metrics_addr requires ServeConfig::metrics",
-            ))
-        }
-        (None, _) => None,
-    };
-    Ok(ServerHandle {
-        addr,
-        metrics_addr,
-        stop,
-        wake,
-        workers,
-    })
+    if let Err(e) = started {
+        // Stop the threads that did start, then report the failure.
+        handle.shutdown();
+        return Err(e);
+    }
+    Ok(handle)
+}
+
+/// Starts a named thread running `body` and adds it to `workers`.
+fn spawn_named(
+    workers: &mut Vec<std::thread::JoinHandle<()>>,
+    name: String,
+    body: impl FnOnce() + Send + 'static,
+) -> io::Result<()> {
+    workers.push(std::thread::Builder::new().name(name).spawn(body)?);
+    Ok(())
 }
 
 /// The metrics HTTP listener: one thread, one request per connection,

@@ -315,6 +315,31 @@ fn metrics_addr_without_metrics_is_an_error() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
 
+#[test]
+fn failed_metrics_bind_leaves_nothing_serving() {
+    let dir = TempDir::new("bind-fail");
+    let store = build_store(&dir.0);
+    let occupied = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    serve(
+        Arc::new(store),
+        listener,
+        ServeConfig {
+            threads: 2,
+            metrics_addr: Some(occupied.local_addr().unwrap()),
+            ..Default::default()
+        },
+    )
+    .expect_err("an occupied metrics_addr must refuse to start");
+    // No worker may have started on the main port before the bind failed.
+    let answered = Client::connect(addr).is_ok_and(|mut c| c.stat().is_ok());
+    assert!(
+        !answered,
+        "a server that failed to start still answers STAT"
+    );
+}
+
 fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     stream

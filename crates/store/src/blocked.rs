@@ -56,10 +56,6 @@ pub enum BlockCodec {
     Zlite(rlz_zlite::Level),
     /// LZMA-class (the paper's lzma baseline).
     Lzlite(rlz_lzlite::Level),
-    /// FSE/tANS entropy coding (order-0; post-paper comparison point).
-    Fse,
-    /// LZ4-style fast-literal compression (post-paper comparison point).
-    Lz4,
 }
 
 impl BlockCodec {
@@ -68,8 +64,6 @@ impl BlockCodec {
         match self {
             BlockCodec::Zlite(_) => "zlib",
             BlockCodec::Lzlite(_) => "lzma",
-            BlockCodec::Fse => "fse",
-            BlockCodec::Lz4 => "lz4",
         }
     }
 
@@ -77,16 +71,6 @@ impl BlockCodec {
         match *self {
             BlockCodec::Zlite(level) => rlz_zlite::compress(data, level),
             BlockCodec::Lzlite(level) => rlz_lzlite::compress(data, level),
-            BlockCodec::Fse => {
-                let mut out = Vec::new();
-                rlz_fse::tans::compress(data, &mut out);
-                out
-            }
-            BlockCodec::Lz4 => {
-                let mut out = Vec::new();
-                rlz_fse::lz4::compress(data, &mut out);
-                out
-            }
         }
     }
 
@@ -99,11 +83,6 @@ impl BlockCodec {
                 Ok(rlz_zlite::decompress_into(data, out, &mut scratch)?)
             }
             BlockCodec::Lzlite(_) => Ok(rlz_lzlite::decompress_into(data, out)?),
-            BlockCodec::Fse => {
-                let mut scratch = rlz_fse::FseScratch::default();
-                Ok(rlz_fse::tans::decompress_into(data, out, &mut scratch)?)
-            }
-            BlockCodec::Lz4 => Ok(rlz_fse::lz4::decompress_into(data, out)?),
         }
     }
 
@@ -111,8 +90,6 @@ impl BlockCodec {
         match self {
             BlockCodec::Zlite(_) => 0,
             BlockCodec::Lzlite(_) => 1,
-            BlockCodec::Fse => 2,
-            BlockCodec::Lz4 => 3,
         }
     }
 
@@ -120,8 +97,6 @@ impl BlockCodec {
         match tag {
             0 => Ok(BlockCodec::Zlite(rlz_zlite::Level::Default)),
             1 => Ok(BlockCodec::Lzlite(rlz_lzlite::Level::Default)),
-            2 => Ok(BlockCodec::Fse),
-            3 => Ok(BlockCodec::Lz4),
             _ => Err(StoreError::corrupt("unknown block codec tag")),
         }
     }
@@ -840,18 +815,6 @@ mod tests {
     }
 
     #[test]
-    fn fse_blocks() {
-        check_store(BlockCodec::Fse, 0);
-        check_store(BlockCodec::Fse, 8192);
-    }
-
-    #[test]
-    fn lz4_blocks() {
-        check_store(BlockCodec::Lz4, 0);
-        check_store(BlockCodec::Lz4, 8192);
-    }
-
-    #[test]
     fn incompressible_blocks_are_stored_verbatim() {
         // A xorshift byte stream defeats every codec, so each block must be
         // marked stored and the payload must be exactly the raw collection.
@@ -871,8 +834,7 @@ mod tests {
         let raw_total: u64 = d.iter().map(|v| v.len() as u64).sum();
         for codec in [
             BlockCodec::Zlite(rlz_zlite::Level::Default),
-            BlockCodec::Fse,
-            BlockCodec::Lz4,
+            BlockCodec::Lzlite(rlz_lzlite::Level::Default),
         ] {
             let dir = TestDir::new(&format!("blocked-stored-{}", codec.name()));
             BlockedStore::build(dir.path(), d.iter().map(|v| v.as_slice()), codec, 4096, 2)
@@ -895,7 +857,8 @@ mod tests {
         // Layouts an earlier version wrote — `0xF5` (stored flags, no
         // CRCs) and the tag-first legacy table — are typed open errors,
         // never a store that serves unverified bytes. Rewriting the
-        // version byte is enough: `open` never looks past it.
+        // version byte is enough: `open` never looks past it. So are the
+        // retired FSE and LZ4 codec tags 2 and 3.
         let d = docs();
         let dir = TestDir::new("blocked-older-meta");
         BlockedStore::build(
@@ -911,6 +874,15 @@ mod tests {
             let mut older = meta.clone();
             older[0] = first_byte;
             std::fs::write(dir.path().join(META_FILE), older).unwrap();
+            assert!(matches!(
+                BlockedStore::open(dir.path()),
+                Err(StoreError::Corrupt { .. })
+            ));
+        }
+        for tag in [2, 3] {
+            let mut retired = meta.clone();
+            retired[1] = tag;
+            std::fs::write(dir.path().join(META_FILE), retired).unwrap();
             assert!(matches!(
                 BlockedStore::open(dir.path()),
                 Err(StoreError::Corrupt { .. })

@@ -953,6 +953,13 @@ mod tests {
         let store = LiveStore::open(dir.path(), small_config()).unwrap();
         assert_eq!(store.recovery().replayed_frames, 0);
         assert_eq!(store.get(2).unwrap(), docs[2]);
+        drop(store);
+        // Metadata naming a retired coder (Elias γ) is a typed error.
+        std::fs::write(dir.path().join(META_FILE), [META_VERSION_LIVE, b'G', b'V']).unwrap();
+        assert!(matches!(
+            LiveStore::open(dir.path(), small_config()),
+            Err(StoreError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -488,6 +488,18 @@ mod tests {
         // The right version byte with a bogus checksum tag must also fail.
         std::fs::write(dir.path().join(super::META_FILE), [0xF6, 9, b'U', b'V']).unwrap();
         assert!(RlzStore::open(dir.path()).is_err());
+        // A valid header naming a retired coder (Elias γ/δ) is corrupt too.
+        for name in [b"GV", b"DV"] {
+            std::fs::write(
+                dir.path().join(super::META_FILE),
+                [&super::META_HEADER[..], name].concat(),
+            )
+            .unwrap();
+            assert!(matches!(
+                RlzStore::open(dir.path()),
+                Err(StoreError::Corrupt { .. })
+            ));
+        }
     }
 
     #[test]

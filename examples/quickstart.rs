@@ -74,9 +74,11 @@ fn main() {
         roundtrip.len()
     );
 
-    // Step 4: the same pipeline as a persistent store. Retrieval takes
-    // `&self`, so one opened store serves any number of reader threads;
-    // get_batch fans a request list out over workers.
+    // Step 4: the same pipeline as a persistent store, coded PV (PForDelta
+    // positions + vbyte lengths), an archival coding on the measured
+    // size/decode-speed frontier. Retrieval takes `&self`, so one opened
+    // store serves any number of reader threads; get_batch fans a request
+    // list out over workers.
     let dir = std::env::temp_dir().join(format!("rlz-quickstart-{}", std::process::id()));
     let slices: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
     let dict = Dictionary::sample(
@@ -85,7 +87,7 @@ fn main() {
         1024,
         SampleStrategy::Evenly,
     );
-    RlzStoreBuilder::new(dict, PairCoding::ZV)
+    RlzStoreBuilder::new(dict, PairCoding::PV)
         .threads(4)
         .build(&dir, &slices)
         .expect("store builds");
