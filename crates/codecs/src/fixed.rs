@@ -21,8 +21,8 @@ impl FixedU32 {
     }
 
     /// Decodes exactly `n` values from the front of `data`, appending them
-    /// to `out`; returns the number of bytes consumed.
-    pub fn decode(&self, data: &[u8], n: usize, out: &mut Vec<u32>) -> Result<usize> {
+    /// to `out`.
+    pub fn decode(&self, data: &[u8], n: usize, out: &mut Vec<u32>) -> Result<()> {
         let need = n
             .checked_mul(4)
             .ok_or(CodecError::Corrupt("count overflow"))?;
@@ -36,7 +36,7 @@ impl FixedU32 {
                 .chunks_exact(4)
                 .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("chunk of 4"))),
         );
-        Ok(need)
+        Ok(())
     }
 }
 
@@ -52,7 +52,7 @@ mod tests {
         assert_eq!(enc.len(), 16);
         enc.extend_from_slice(b"trailing");
         let mut out = Vec::new();
-        assert_eq!(FixedU32.decode(&enc, 4, &mut out), Ok(16));
+        assert_eq!(FixedU32.decode(&enc, 4, &mut out), Ok(()));
         assert_eq!(out, values);
     }
 

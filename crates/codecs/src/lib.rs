@@ -22,8 +22,8 @@
 //! Each coder is a unit struct with inherent `encode` and `decode`
 //! methods. `encode` appends to its output so streams concatenate;
 //! `decode` is told how many values to expect (RLZ stores factor counts in
-//! the record header), appends them, and returns the number of input bytes
-//! consumed. Every coder round-trips arbitrary `u32` slices; decoding is
+//! the record header) and appends them; only vbyte's also returns the
+//! number of input bytes consumed, which the `F` coder checks. Every coder round-trips arbitrary `u32` slices; decoding is
 //! fully bounds-checked and returns [`CodecError`] on truncated or corrupt
 //! input (no panics).
 //!

@@ -148,6 +148,10 @@ proptest! {
         let mut enc = Vec::new();
         VByte.encode(&values, &mut enc);
         prop_assert_eq!(vbyte_fast(&enc, values.len()), Ok((values.clone(), enc.len())));
+        // Bytes after the stream are neither read nor counted.
+        let mut padded = enc.clone();
+        padded.extend_from_slice(b"trailing");
+        prop_assert_eq!(vbyte_fast(&padded, values.len()), Ok((values.clone(), enc.len())));
         // Any shorter count stops at the same byte as the scalar reader.
         let n = count.index(values.len() + 1);
         prop_assert_eq!(vbyte_fast(&enc, n), vbyte_scalar(&enc, n), "count {}", n);

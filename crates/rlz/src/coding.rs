@@ -226,16 +226,16 @@ impl Coder {
         } = stage;
         out.clear();
         match self {
-            Coder::U32 => fixed::FixedU32.decode(data, n, out).map(drop),
+            Coder::U32 => fixed::FixedU32.decode(data, n, out),
             Coder::VByte => vbyte::VByte.decode(data, n, out).map(drop),
-            Coder::Simple9 => simple9::Simple9.decode(data, n, out).map(drop),
-            Coder::PFor => pfor::PForDelta.decode(data, n, out).map(drop),
+            Coder::Simple9 => simple9::Simple9.decode(data, n, out),
+            Coder::PFor => pfor::PForDelta.decode(data, n, out),
             Coder::Zlib => {
                 rlz_zlite::decompress_into(data, inflate, zlite)?;
                 if Some(inflate.len()) != n.checked_mul(4) {
                     return Err(CodecError::Corrupt("Z stream count mismatch"));
                 }
-                fixed::FixedU32.decode(inflate, n, out).map(drop)
+                fixed::FixedU32.decode(inflate, n, out)
             }
             Coder::Fse => {
                 rlz_fse::tans::decompress_into(data, inflate, fse)?;
@@ -252,7 +252,7 @@ impl Coder {
                 if Some(inflate.len()) != n.checked_mul(4) {
                     return Err(CodecError::Corrupt("L stream count mismatch"));
                 }
-                fixed::FixedU32.decode(inflate, n, out).map(drop)
+                fixed::FixedU32.decode(inflate, n, out)
             }
         }
     }

@@ -62,9 +62,8 @@ fn stream_decoders_error_on_truncated_input() {
 
 #[test]
 fn stream_decoders_ignore_trailing_bytes() {
-    // Each integer codec's `decode` also reports that it consumed exactly
-    // its own encoding (its unit tests); a stream coder must return the
-    // same values whatever follows the stream.
+    // A stream coder must return the same values whatever follows the
+    // stream.
     let values = vec![7u32, 300, 70000, 5];
     for coder in Coder::ALL {
         let mut enc = encode_stream(coder, &values);
