@@ -1,6 +1,6 @@
-//! The bounded-memory build table (`rlz-bench build`): batch
-//! (materialize-everything) vs the chunked streaming pipeline, with peak
-//! RSS measured per run.
+//! The bounded-memory build table (`rlz-bench build`): the chunked
+//! streaming pipeline against a sequential reference, with peak RSS
+//! measured per run.
 //!
 //! Peak RSS is `VmHWM` from `/proc/self/status` — a process-wide
 //! high-water mark, so every measurement runs in a fresh child process
@@ -9,34 +9,31 @@
 //!
 //! * `baseline` — a child that only streams the document generator: the
 //!   RSS floor of runtime + generator, added into the budget.
-//! * `serial` — the batch oracle: corpus materialized, dictionary sampled
-//!   from the concatenation, `RlzStoreBuilder::build` over slices. Peak
-//!   RSS grows with the corpus; this is the line the pipeline beats.
+//! * `reference` (not a row) — the byte-identity reference: the same
+//!   streamed dictionary, then a plain sequential loop of `compress` →
+//!   `RlzWriter` over the streamed corpus.
 //! * `chunked` — one row per thread count: dictionary sampled via
 //!   `Dictionary::sample_streamed` (two passes over the generator, never
 //!   the corpus in RAM), then `build_rlz_chunked`. Each row asserts the
-//!   emitted store directory is **byte-identical** to the serial oracle's
-//!   (so the compression-ratio delta is exactly zero) and that its peak
-//!   RSS stays within the O(dictionary + constant × block) budget, on a
-//!   corpus at least 4× the in-flight block budget so the bound is not
-//!   vacuous.
+//!   emitted store directory is **byte-identical** to the reference's (so
+//!   the compression-ratio delta is exactly zero) and that its peak RSS
+//!   stays within the O(dictionary + constant × block) budget, on a corpus
+//!   at least 4× the in-flight block budget so the bound is not vacuous.
 //!
 //! On a 1- or 2-core host the thread sweep cannot show >1× scaling — the
 //! headline here is the memory bound: the chunked build's VmHWM stays put
-//! while the corpus (and the serial build's VmHWM) grows several times
-//! past it.
+//! however large the corpus grows.
 
 use crate::{ScaledConfig, WorkDir};
 use rlz_repro::ingest::doc_bytes;
 use rlz_repro::rlz::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
-use rlz_repro::store::{build_rlz_chunked, BuildConfig, RlzStoreBuilder};
+use rlz_repro::store::{build_rlz_chunked, BuildConfig, RlzWriter};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 
 const SAMPLE_LEN: usize = 1024;
-const QUEUED_BLOCKS: usize = 2;
 const BLOCK_BYTES: usize = 64 * 1024;
 const DICT_BYTES: usize = 256 * 1024;
 
@@ -89,22 +86,9 @@ fn run_child(mode: &str, dir: &Path, cfg: &ScaledConfig) {
             let total: u64 = corpus_stream(cfg.seed, docs).map(|d| d.len() as u64).sum();
             assert_eq!(total, raw_bytes, "generator disagrees with itself");
         }
-        // Batch oracle: corpus fully materialized, then the existing
-        // builder.
-        "serial" => {
-            let docs: Vec<Vec<u8>> = corpus_stream(cfg.seed, docs).collect();
-            let all: Vec<u8> = docs.concat();
-            let dict = Dictionary::sample(&all, DICT_BYTES, SAMPLE_LEN, SampleStrategy::Evenly);
-            dict_kb = dict.heap_bytes() as u64 / 1024;
-            drop(all);
-            let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-            RlzStoreBuilder::new(dict, PairCoding::ZV)
-                .threads(cfg.threads)
-                .build(dir, &slices)
-                .expect("serial build");
-        }
-        // The pipeline under test: the corpus only ever streams.
-        "chunked" => {
+        // The streamed dictionary, then the pipeline under test or the
+        // sequential reference; the corpus only ever streams.
+        "chunked" | "reference" => {
             let dict = Dictionary::sample_streamed(
                 corpus_stream(cfg.seed, docs),
                 raw_bytes as usize,
@@ -114,15 +98,27 @@ fn run_child(mode: &str, dir: &Path, cfg: &ScaledConfig) {
             );
             dict_kb = dict.heap_bytes() as u64 / 1024;
             let compressor = RlzCompressor::new(dict, PairCoding::ZV);
-            let report = build_rlz_chunked(
-                dir,
-                &compressor,
-                corpus_stream(cfg.seed, docs),
-                &build_config(cfg.threads),
-            )
-            .expect("chunked build");
-            assert_eq!(report.raw_bytes, raw_bytes);
-            assert_eq!(report.docs, docs as u64);
+            if mode == "reference" {
+                let mut writer =
+                    RlzWriter::create(dir, compressor.dict().bytes(), compressor.coding())
+                        .expect("reference writer");
+                for doc in corpus_stream(cfg.seed, docs) {
+                    writer
+                        .append_encoded(&compressor.compress(&doc))
+                        .expect("reference append");
+                }
+                writer.finish().expect("reference build");
+            } else {
+                let report = build_rlz_chunked(
+                    dir,
+                    &compressor,
+                    corpus_stream(cfg.seed, docs),
+                    &build_config(cfg.threads),
+                )
+                .expect("chunked build");
+                assert_eq!(report.raw_bytes, raw_bytes);
+                assert_eq!(report.docs, docs as u64);
+            }
         }
         other => panic!("unknown build child mode {other:?}"),
     }
@@ -137,7 +133,6 @@ fn build_config(threads: usize) -> BuildConfig {
     BuildConfig {
         threads,
         block_bytes: BLOCK_BYTES,
-        queued_blocks: QUEUED_BLOCKS,
     }
 }
 
@@ -191,7 +186,7 @@ fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 /// `rlz-bench build [--size-mb N] [--threads N] [--seed N]`, or one child
 /// measurement when `args` starts with `--child MODE DIR`.
 pub fn build_table(args: &[String]) {
-    // Construction (serial oracle + thread sweep) factorizes the corpus
+    // Construction (reference + thread sweep) factorizes the corpus
     // several times over; default smaller than the read-side tables.
     let cfg = ScaledConfig::from_args_sized(args, 16);
     if let [flag, mode, dir, ..] = args {
@@ -215,14 +210,9 @@ pub fn build_table(args: &[String]) {
         baseline.vmhwm_kb
     );
 
-    let serial_dir = work.sub("serial");
-    let serial = spawn_child("serial", &serial_dir, &cfg, 1);
-    let serial_mb_s = raw_bytes as f64 / (1 << 20) as f64 / serial.elapsed_s.max(1e-9);
-    println!(
-        "  serial  (batch, materialized)      peak RSS {:>8} KiB  {serial_mb_s:>6.1} MB/s",
-        serial.vmhwm_kb
-    );
-    let serial_files = dir_bytes(&serial_dir);
+    let reference_dir = work.sub("reference");
+    spawn_child("reference", &reference_dir, &cfg, 1);
+    let reference_files = dir_bytes(&reference_dir);
 
     let mut sweep: Vec<usize> = vec![1, 2, cfg.threads];
     sweep.sort_unstable();
@@ -230,7 +220,7 @@ pub fn build_table(args: &[String]) {
     for threads in sweep {
         let dir = work.sub(&format!("chunked-{threads}"));
         let r = spawn_child("chunked", &dir, &cfg, threads);
-        let identical = dir_bytes(&dir) == serial_files;
+        let identical = dir_bytes(&dir) == reference_files;
         // The enforced memory model: generator floor + dictionary (with
         // construction transient) + in-flight raw/encoded blocks + a
         // fixed allocator/runtime slack. Corpus size appears nowhere.
@@ -247,7 +237,7 @@ pub fn build_table(args: &[String]) {
         );
         assert!(
             identical,
-            "chunked store (threads={threads}) must be byte-identical to the serial oracle"
+            "chunked store (threads={threads}) must be byte-identical to the sequential reference"
         );
         assert!(
             raw_bytes >= 4 * block_budget_bytes,

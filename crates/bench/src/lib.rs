@@ -17,7 +17,10 @@ pub mod tables;
 
 use rlz_core::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
 use rlz_corpus::{access, generate_web, Collection, WebConfig};
-use rlz_store::{AsciiStore, BlockCodec, BlockedStore, DocStore, RlzStore, RlzStoreBuilder};
+use rlz_store::{
+    build_blocked_chunked, build_rlz_chunked, AsciiStore, BlockCodec, BlockedStore, BuildConfig,
+    DocStore, RlzStore,
+};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -269,6 +272,14 @@ pub fn concurrent_docs_per_second(
     served.into_inner() as f64 / t.elapsed().as_secs_f64()
 }
 
+/// The build pipeline on the table's `--threads` workers.
+fn build_config(cfg: &ScaledConfig) -> BuildConfig {
+    BuildConfig {
+        threads: cfg.threads,
+        ..BuildConfig::default()
+    }
+}
+
 /// Builds an RLZ store for (dict size, coding), returning `(dir, Enc%)`.
 pub fn build_rlz_store(
     work: &WorkDir,
@@ -285,11 +296,13 @@ pub fn build_rlz_store(
         SampleStrategy::Evenly,
     );
     let dir = work.sub(tag);
-    let docs: Vec<&[u8]> = collection.iter_docs().collect();
-    RlzStoreBuilder::new(dict, coding)
-        .threads(cfg.threads)
-        .build(&dir, &docs)
-        .expect("rlz build");
+    build_rlz_chunked(
+        &dir,
+        &RlzCompressor::new(dict, coding),
+        collection.iter_docs(),
+        &build_config(cfg),
+    )
+    .expect("rlz build");
     let store = RlzStore::open(&dir).expect("rlz open");
     let pct = store.total_stored_bytes() as f64 * 100.0 / collection.total_bytes() as f64;
     (dir, pct)
@@ -305,9 +318,14 @@ pub fn build_blocked_store(
     cfg: &ScaledConfig,
 ) -> (PathBuf, f64) {
     let dir = work.sub(tag);
-    let docs: Vec<&[u8]> = collection.iter_docs().collect();
-    BlockedStore::build(&dir, docs.iter().copied(), codec, block_size, cfg.threads)
-        .expect("blocked build");
+    build_blocked_chunked(
+        &dir,
+        codec,
+        block_size,
+        collection.iter_docs(),
+        &build_config(cfg),
+    )
+    .expect("blocked build");
     let store = BlockedStore::open(&dir).expect("blocked open");
     let pct = store.stored_bytes() as f64 * 100.0 / collection.total_bytes() as f64;
     (dir, pct)
@@ -316,8 +334,7 @@ pub fn build_blocked_store(
 /// Builds the raw baseline, returning its directory.
 pub fn build_ascii_store(work: &WorkDir, tag: &str, collection: &Collection) -> PathBuf {
     let dir = work.sub(tag);
-    let docs: Vec<&[u8]> = collection.iter_docs().collect();
-    AsciiStore::build(&dir, docs.iter().copied()).expect("ascii build");
+    AsciiStore::build(&dir, collection.iter_docs()).expect("ascii build");
     dir
 }
 

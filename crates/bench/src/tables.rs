@@ -945,6 +945,7 @@ pub fn ablation_sampling_table(collection: &Collection, cfg: &ScaledConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlz_store::{build_blocked_chunked, BuildConfig};
 
     #[test]
     fn frontier_marks_exactly_the_undominated_points() {
@@ -984,12 +985,12 @@ mod tests {
         let ascii_dir = work.sub("ascii");
         AsciiStore::build(&ascii_dir, docs.iter().map(Vec::as_slice)).unwrap();
         let blocked_dir = work.sub("blocked");
-        BlockedStore::build(
+        build_blocked_chunked(
             &blocked_dir,
-            docs.iter().map(Vec::as_slice),
             BlockCodec::Zlite(rlz_zlite::Level::Default),
             4096,
-            2,
+            docs.iter(),
+            &BuildConfig::default(),
         )
         .unwrap();
         let ascii = AsciiStore::open(&ascii_dir).unwrap();

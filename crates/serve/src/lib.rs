@@ -31,8 +31,8 @@
 //!
 //! ```
 //! use rlz_serve::{serve, Client, ServeConfig};
-//! use rlz_store::{DocStore, RlzStore, RlzStoreBuilder};
-//! use rlz_core::{Dictionary, PairCoding, SampleStrategy};
+//! use rlz_store::{build_rlz_chunked, BuildConfig, DocStore, RlzStore};
+//! use rlz_core::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
 //! use std::sync::Arc;
 //!
 //! let docs: Vec<Vec<u8>> = (0..20)
@@ -40,9 +40,9 @@
 //!     .collect();
 //! let all: Vec<u8> = docs.concat();
 //! let dir = std::env::temp_dir().join(format!("rlz-serve-doc-{}", std::process::id()));
-//! let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
 //! let dict = Dictionary::sample(&all, 256, 64, SampleStrategy::Evenly);
-//! RlzStoreBuilder::new(dict, PairCoding::UV).build(&dir, &slices).unwrap();
+//! let compressor = RlzCompressor::new(dict, PairCoding::UV);
+//! build_rlz_chunked(&dir, &compressor, docs.iter(), &BuildConfig::default()).unwrap();
 //!
 //! let store: Arc<dyn DocStore> = Arc::new(RlzStore::open(&dir).unwrap());
 //! let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();

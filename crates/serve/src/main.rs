@@ -42,7 +42,6 @@
 use rlz_serve::{serve, ServeConfig};
 use rlz_store::{
     AsciiStore, BlockedStore, DocStore, FsyncPolicy, LiveConfig, LiveStore, RlzStore, WriteStore,
-    MANIFEST_FILE,
 };
 use std::net::TcpListener;
 use std::path::Path;
@@ -78,23 +77,12 @@ fn open_store(
     live_cfg: LiveConfig,
 ) -> Result<OpenedStore, String> {
     let family = match family {
-        "auto" => {
-            // A live directory also carries dict.bin, so MANIFEST wins.
-            if dir.join(MANIFEST_FILE).exists() {
-                "live"
-            } else if dir.join("dict.bin").exists() {
-                "rlz"
-            } else if dir.join("blocks.bin").exists() {
-                "blocked"
-            } else if dir.join("data.bin").exists() {
-                "ascii"
-            } else {
-                return Err(format!(
-                    "{}: no recognizable store layout (MANIFEST / dict.bin / blocks.bin / data.bin)",
-                    dir.display()
-                ));
-            }
-        }
+        "auto" => rlz_store::detect_family(dir).ok_or_else(|| {
+            format!(
+                "{}: no recognizable store layout (MANIFEST / dict.bin / blocks.bin / data.bin)",
+                dir.display()
+            )
+        })?,
         other => other,
     };
     let err = |e: rlz_store::StoreError| format!("open {} store at {}: {e}", family, dir.display());

@@ -9,10 +9,10 @@
 //! Mirrors `crates/store/tests/alloc_counting.rs` (one `#[test]` per
 //! binary so no other test's allocations leak into the window).
 
-use rlz_core::{Dictionary, PairCoding, SampleStrategy};
+use rlz_core::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
 use rlz_serve::protocol::{self, parse_request, Parsed, STATUS_OK};
 use rlz_serve::{Metrics, Responder};
-use rlz_store::{RlzStore, RlzStoreBuilder};
+use rlz_store::{build_rlz_chunked, BuildConfig, RlzStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -64,10 +64,13 @@ fn warm_single_get_request_performs_zero_allocations() {
     let all: Vec<u8> = docs.concat();
     let dict = Dictionary::sample(&all, 2048, 256, SampleStrategy::Evenly);
     let dir = std::env::temp_dir().join(format!("rlz-serve-alloc-{}", std::process::id()));
-    let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-    RlzStoreBuilder::new(dict, PairCoding::UV)
-        .build(&dir, &slices)
-        .unwrap();
+    build_rlz_chunked(
+        &dir,
+        &RlzCompressor::new(dict, PairCoding::UV),
+        docs.iter(),
+        &BuildConfig::default(),
+    )
+    .unwrap();
     let store = RlzStore::open_resident(&dir).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 

@@ -4,10 +4,10 @@
 //! server through both surfaces (the METRICS opcode and the HTTP
 //! listener).
 
-use rlz_core::{Dictionary, PairCoding, SampleStrategy};
+use rlz_core::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
 use rlz_serve::metrics::{bucket_index, BOUNDS, BUCKETS};
 use rlz_serve::{serve, Client, Histogram, Metrics, Op, ServeConfig};
-use rlz_store::{DocStore, RlzStore, RlzStoreBuilder};
+use rlz_store::{build_rlz_chunked, BuildConfig, DocStore, RlzStore};
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -203,11 +203,14 @@ fn build_store(dir: &std::path::Path) -> RlzStore {
         .map(|i| format!("<doc>{i} shared boilerplate text {}</doc>", i * 7).into_bytes())
         .collect();
     let all: Vec<u8> = docs.concat();
-    let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
     let dict = Dictionary::sample(&all, 1024, 128, SampleStrategy::Evenly);
-    RlzStoreBuilder::new(dict, PairCoding::ZV)
-        .build(dir, &slices)
-        .unwrap();
+    build_rlz_chunked(
+        dir,
+        &RlzCompressor::new(dict, PairCoding::ZV),
+        docs.iter(),
+        &BuildConfig::default(),
+    )
+    .unwrap();
     RlzStore::open(dir).unwrap()
 }
 

@@ -9,10 +9,10 @@
 //! Runs against a real server over loopback.
 
 use proptest::prelude::*;
-use rlz_core::{Dictionary, PairCoding, SampleStrategy};
+use rlz_core::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
 use rlz_serve::protocol::{self, parse_request, Parsed};
 use rlz_serve::{serve, Responder, ServeConfig, ServerHandle};
-use rlz_store::{RlzStore, RlzStoreBuilder};
+use rlz_store::{build_rlz_chunked, BuildConfig, RlzStore};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::OnceLock;
@@ -29,10 +29,13 @@ fn test_store() -> &'static RlzStore {
         let all: Vec<u8> = docs.concat();
         let dict = Dictionary::sample(&all, 512, 128, SampleStrategy::Evenly);
         let dir = std::env::temp_dir().join(format!("rlz-serve-pipe-{}", std::process::id()));
-        let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-        RlzStoreBuilder::new(dict, PairCoding::UV)
-            .build(&dir, &slices)
-            .unwrap();
+        build_rlz_chunked(
+            &dir,
+            &RlzCompressor::new(dict, PairCoding::UV),
+            docs.iter(),
+            &BuildConfig::default(),
+        )
+        .unwrap();
         let store = RlzStore::open_resident(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         store

@@ -6,12 +6,12 @@
 //! header-hardening bounds on the decode path).
 
 use proptest::prelude::*;
-use rlz_core::{Dictionary, PairCoding, SampleStrategy};
+use rlz_core::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
 use rlz_serve::protocol::{
     self, parse_request, Parsed, Request, MAX_REQUEST_LEN, STATUS_OK, STATUS_OUT_OF_RANGE,
 };
 use rlz_serve::Responder;
-use rlz_store::{DocStore, RlzStore, RlzStoreBuilder};
+use rlz_store::{build_rlz_chunked, BuildConfig, DocStore, RlzStore};
 
 /// A tiny store every execution test can hammer.
 fn test_store() -> &'static RlzStore {
@@ -24,10 +24,13 @@ fn test_store() -> &'static RlzStore {
         let all: Vec<u8> = docs.concat();
         let dict = Dictionary::sample(&all, 512, 128, SampleStrategy::Evenly);
         let dir = std::env::temp_dir().join(format!("rlz-serve-prop-{}", std::process::id()));
-        let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-        RlzStoreBuilder::new(dict, PairCoding::UV)
-            .build(&dir, &slices)
-            .unwrap();
+        build_rlz_chunked(
+            &dir,
+            &RlzCompressor::new(dict, PairCoding::UV),
+            docs.iter(),
+            &BuildConfig::default(),
+        )
+        .unwrap();
         let store = RlzStore::open_resident(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         store

@@ -8,17 +8,14 @@
 //! store without it does not open.
 
 use crate::backend::{FileBackend, MemBackend, StorageBackend};
-use crate::docmap::DocMap;
-use crate::verify::{encode_sums, load_quarantine, load_sums, BadUnit, ScrubReport, SUMS_FILE};
+use crate::docmap::{DocMap, RecordWriter, MAP_FILE};
+use crate::verify::{load_quarantine, load_sums, BadUnit, ScrubReport};
 use crate::{read_file, DocStore, StoreError};
 use rlz_codecs::hash::crc32c;
-use std::fs::File;
-use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
-const DATA_FILE: &str = "data.bin";
-const MAP_FILE: &str = "docmap.bin";
+pub(crate) const DATA_FILE: &str = "data.bin";
 
 /// Uncompressed document store with random access. Clones are cheap
 /// handles onto the same backend and document map.
@@ -32,60 +29,15 @@ pub struct AsciiStore {
     quarantine: Arc<Vec<u32>>,
 }
 
-/// Streamed builder for [`AsciiStore`]: documents are appended one at a
-/// time and land on disk immediately, so peak memory is one document plus
-/// the per-document length/checksum tables — never the corpus. The batch
-/// [`AsciiStore::build`] is a thin wrapper over this writer, so the two
-/// emit byte-identical stores by construction.
-#[derive(Debug)]
-pub struct AsciiWriter {
-    data: std::io::BufWriter<File>,
-    dir: std::path::PathBuf,
-    lens: Vec<usize>,
-    sums: Vec<u32>,
-}
-
-impl AsciiWriter {
-    /// Creates `dir` and opens the payload file for streaming appends.
-    pub fn create(dir: &Path) -> Result<Self, StoreError> {
-        std::fs::create_dir_all(dir)?;
-        Ok(AsciiWriter {
-            data: std::io::BufWriter::new(File::create(dir.join(DATA_FILE))?),
-            dir: dir.to_path_buf(),
-            lens: Vec::new(),
-            sums: Vec::new(),
-        })
-    }
-
-    /// Appends one document to the store.
-    pub fn append(&mut self, doc: &[u8]) -> Result<(), StoreError> {
-        self.data.write_all(doc)?;
-        self.lens.push(doc.len());
-        self.sums.push(crc32c(doc));
-        Ok(())
-    }
-
-    /// Flushes the payload and writes the docmap and checksum sidecar,
-    /// completing the store.
-    pub fn finish(mut self) -> Result<(), StoreError> {
-        self.data.flush()?;
-        std::fs::write(
-            self.dir.join(MAP_FILE),
-            DocMap::from_lens(self.lens).serialize(),
-        )?;
-        std::fs::write(self.dir.join(SUMS_FILE), encode_sums(&self.sums))?;
-        Ok(())
-    }
-}
-
 impl AsciiStore {
-    /// Builds the store in `dir` from the given documents.
+    /// Builds the store in `dir` from the given documents, streaming each
+    /// to disk as it arrives (there is no CPU stage to parallelize).
     pub fn build<'a>(dir: &Path, docs: impl Iterator<Item = &'a [u8]>) -> Result<(), StoreError> {
-        let mut writer = AsciiWriter::create(dir)?;
+        let mut records = RecordWriter::create(dir, DATA_FILE)?;
         for doc in docs {
-            writer.append(doc)?;
+            records.append(doc)?;
         }
-        writer.finish()
+        records.finish()
     }
 
     /// Opens a previously built store with a file-backed payload.
@@ -152,6 +104,10 @@ impl AsciiStore {
 impl DocStore for AsciiStore {
     fn num_docs(&self) -> usize {
         self.map.num_docs()
+    }
+
+    fn quarantined_docs(&self) -> u64 {
+        self.quarantine.len() as u64
     }
 
     fn stats(&self) -> crate::StoreStats {
@@ -293,10 +249,20 @@ mod tests {
         }
         let report = store.scrub();
         assert_eq!(report.bad_doc_ids(), vec![7]);
+        crate::write_quarantine(dir.path(), &report.bad_doc_ids()).unwrap();
+        let store = AsciiStore::open(dir.path()).unwrap();
+        assert_eq!(store.quarantined_docs(), 1);
+        assert!(matches!(
+            store.get(7),
+            Err(StoreError::Corrupt {
+                what: "document quarantined by rlz-verify",
+                ..
+            })
+        ));
 
         // Without the sidecar the flip would go unnoticed, so the store
         // must not open at all.
-        std::fs::remove_file(dir.path().join(super::SUMS_FILE)).unwrap();
+        std::fs::remove_file(dir.path().join(crate::verify::SUMS_FILE)).unwrap();
         assert!(matches!(
             AsciiStore::open(dir.path()),
             Err(StoreError::Corrupt { .. })

@@ -17,7 +17,7 @@
 //! ```
 
 use rlz_store::{scrub_live, AsciiStore, BlockedStore, RlzStore, ScrubReport};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 struct Args {
@@ -66,26 +66,16 @@ fn parse_args() -> Args {
     args
 }
 
-/// Store family by directory content, mirroring `rlz-serve`'s autodetect.
-/// Live stores also carry `dict.bin`, so the `MANIFEST` probe comes first.
-fn detect_family(dir: &Path) -> &'static str {
-    if dir.join(rlz_store::MANIFEST_FILE).exists() {
-        "live"
-    } else if dir.join("dict.bin").exists() {
-        "rlz"
-    } else if dir.join("blocks.bin").exists() {
-        "blocked"
-    } else {
-        "ascii"
-    }
-}
-
 fn scrub(args: &Args) -> Result<ScrubReport, rlz_store::StoreError> {
     let dir = &args.store;
-    let family = if args.family == "auto" {
-        detect_family(dir)
-    } else {
-        args.family.as_str()
+    let family = match args.family.as_str() {
+        "auto" => rlz_store::detect_family(dir).ok_or_else(|| {
+            rlz_store::StoreError::Io(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                "no recognizable store layout (MANIFEST / dict.bin / blocks.bin / data.bin)",
+            ))
+        })?,
+        other => other,
     };
     match family {
         "rlz" => Ok(if args.resident {

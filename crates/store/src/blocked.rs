@@ -32,8 +32,8 @@
 
 use crate::backend::{FileBackend, MemBackend, StorageBackend};
 use crate::cache::ShardedLru;
-use crate::docmap::DocMap;
-use crate::verify::{load_quarantine, BadUnit, ScrubReport};
+use crate::docmap::{DocMap, MAP_FILE};
+use crate::verify::{load_quarantine, write_quarantine, BadUnit, ScrubReport};
 use crate::{read_file, DocStore, StoreError};
 use rlz_codecs::hash::crc32c;
 use rlz_codecs::vbyte;
@@ -42,9 +42,8 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
-const BLOCKS_FILE: &str = "blocks.bin";
+pub(crate) const BLOCKS_FILE: &str = "blocks.bin";
 const META_FILE: &str = "meta.bin";
-const MAP_FILE: &str = "docmap.bin";
 
 /// Default block-cache capacity when enabled without an explicit size.
 const DEFAULT_CACHE_BLOCKS: usize = 32;
@@ -139,11 +138,10 @@ pub(crate) struct RawBlock {
     pub raw_start: u64,
 }
 
-/// Greedy whole-document packing into raw blocks — the single source of
-/// truth for block boundaries, shared by the batch builder, the streaming
-/// [`BlockedWriter`] and the chunked build pipeline so the three cannot
-/// drift. `block_size == 0` places one document per block; documents are
-/// never split.
+/// Greedy whole-document packing into raw blocks — the rule for block
+/// boundaries, run by the chunked build pipeline's reader.
+/// `block_size == 0` places one document per block; documents are never
+/// split.
 #[derive(Debug)]
 pub(crate) struct BlockPacker {
     block_size: usize,
@@ -194,8 +192,7 @@ impl BlockPacker {
     }
 
     /// The final block, plus the lengths of any trailing zero-length
-    /// documents that (matching the batch builder's rule) close the
-    /// collection without a block of their own — they still need docmap
+    /// documents that close the collection without a block of their own — they still need docmap
     /// entries. A zero-document collection emits one empty block.
     pub fn finish(self) -> (Option<RawBlock>, Vec<usize>) {
         if !self.current.is_empty() || self.doc_id == 0 {
@@ -217,7 +214,7 @@ impl BlockPacker {
 /// Block-level emission for blocked stores: completed blocks (with their
 /// precompressed image) are appended in order and land on disk immediately;
 /// `finish` writes the metadata table and docmap. The stored-verbatim
-/// decision lives here so every build path shares it.
+/// decision lives here.
 #[derive(Debug)]
 pub(crate) struct BlockedSink {
     payload: std::io::BufWriter<File>,
@@ -229,8 +226,11 @@ pub(crate) struct BlockedSink {
 }
 
 impl BlockedSink {
+    /// Creates `dir` and opens the payload; like the record writer, drops
+    /// a quarantine sidecar left by an earlier store in `dir`.
     pub fn create(dir: &Path, codec: BlockCodec) -> Result<Self, StoreError> {
         std::fs::create_dir_all(dir)?;
+        write_quarantine(dir, &[])?;
         Ok(BlockedSink {
             payload: std::io::BufWriter::new(File::create(dir.join(BLOCKS_FILE))?),
             dir: dir.to_path_buf(),
@@ -258,12 +258,6 @@ impl BlockedSink {
         self.file_at += bytes.len() as u64;
         self.lens.extend_from_slice(&raw.doc_lens);
         Ok(())
-    }
-
-    /// Packs and compresses one block inline (the serial streaming path).
-    pub fn append_block(&mut self, raw: &RawBlock) -> Result<(), StoreError> {
-        let comp = self.codec.compress(&raw.bytes);
-        self.append_compressed(raw, &comp)
     }
 
     /// Records docmap entries for trailing zero-length documents that have
@@ -297,50 +291,6 @@ impl BlockedSink {
     }
 }
 
-/// Streamed builder for [`BlockedStore`]: documents are appended one at a
-/// time; each completed block is compressed and written immediately, so
-/// peak memory is one block — never the corpus. Byte-identical to the batch
-/// [`BlockedStore::build`] (both run the same `BlockPacker` and
-/// `BlockedSink`); the batch path additionally compresses blocks in
-/// parallel.
-#[derive(Debug)]
-pub struct BlockedWriter {
-    packer: BlockPacker,
-    sink: BlockedSink,
-}
-
-impl BlockedWriter {
-    /// Creates `dir` and opens the payload for streaming appends.
-    /// `block_size == 0` places one document per block.
-    pub fn create(dir: &Path, codec: BlockCodec, block_size: usize) -> Result<Self, StoreError> {
-        Ok(BlockedWriter {
-            packer: BlockPacker::new(block_size),
-            sink: BlockedSink::create(dir, codec)?,
-        })
-    }
-
-    /// Appends one document, compressing and writing any block it
-    /// completes.
-    pub fn append(&mut self, doc: &[u8]) -> Result<(), StoreError> {
-        if let Some(block) = self.packer.push(doc) {
-            self.sink.append_block(&block)?;
-        }
-        Ok(())
-    }
-
-    /// Compresses the final block and writes the metadata and docmap,
-    /// completing the store.
-    pub fn finish(self) -> Result<(), StoreError> {
-        let BlockedWriter { packer, mut sink } = self;
-        let (tail, trailing) = packer.finish();
-        if let Some(block) = tail {
-            sink.append_block(&block)?;
-        }
-        sink.append_trailing_doc_lens(&trailing);
-        sink.finish()
-    }
-}
-
 /// Blocked store reader. Clones are cheap handles sharing the backend,
 /// block table, document map and (if enabled) the block cache.
 #[derive(Debug, Clone)]
@@ -362,43 +312,6 @@ pub struct BlockedStore {
 }
 
 impl BlockedStore {
-    /// Builds a blocked store in `dir`.
-    ///
-    /// `block_size == 0` places one document per block; otherwise documents
-    /// are appended to a block until it reaches `block_size` bytes
-    /// (documents are never split). Blocks are compressed in parallel on
-    /// `threads` OS threads.
-    pub fn build<'a>(
-        dir: &Path,
-        docs: impl Iterator<Item = &'a [u8]>,
-        codec: BlockCodec,
-        block_size: usize,
-        threads: usize,
-    ) -> Result<(), StoreError> {
-        // Group documents into raw blocks.
-        let mut packer = BlockPacker::new(block_size);
-        let mut raw_blocks: Vec<RawBlock> = Vec::new();
-        for doc in docs {
-            if let Some(block) = packer.push(doc) {
-                raw_blocks.push(block);
-            }
-        }
-        let (tail, trailing) = packer.finish();
-        raw_blocks.extend(tail);
-
-        // Compress blocks in parallel; a block the codec cannot shrink is
-        // marked stored and written verbatim by the sink.
-        let compressed =
-            crate::parallel_map(&raw_blocks, threads, |raw| codec.compress(&raw.bytes));
-
-        let mut sink = BlockedSink::create(dir, codec)?;
-        for (raw, comp) in raw_blocks.iter().zip(&compressed) {
-            sink.append_compressed(raw, comp)?;
-        }
-        sink.append_trailing_doc_lens(&trailing);
-        sink.finish()
-    }
-
     /// Opens a previously built store with a file-backed payload.
     pub fn open(dir: &Path) -> Result<Self, StoreError> {
         Self::with_backend(dir, Arc::new(FileBackend::open(&dir.join(BLOCKS_FILE))?))
@@ -759,7 +672,7 @@ impl DocStore for BlockedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::TestDir;
+    use crate::testutil::{build_blocked, TestDir};
 
     fn docs() -> Vec<Vec<u8>> {
         (0..120)
@@ -776,14 +689,7 @@ mod tests {
     fn check_store(codec: BlockCodec, block_size: usize) {
         let dir = TestDir::new(&format!("blocked-{}-{}", codec.name(), block_size));
         let d = docs();
-        BlockedStore::build(
-            dir.path(),
-            d.iter().map(|v| v.as_slice()),
-            codec,
-            block_size,
-            4,
-        )
-        .unwrap();
+        build_blocked(dir.path(), &d, codec, block_size);
         for store in [
             BlockedStore::open(dir.path()).unwrap(),
             BlockedStore::open_resident(dir.path()).unwrap(),
@@ -837,8 +743,7 @@ mod tests {
             BlockCodec::Lzlite(rlz_lzlite::Level::Default),
         ] {
             let dir = TestDir::new(&format!("blocked-stored-{}", codec.name()));
-            BlockedStore::build(dir.path(), d.iter().map(|v| v.as_slice()), codec, 4096, 2)
-                .unwrap();
+            build_blocked(dir.path(), &d, codec, 4096);
             let store = BlockedStore::open(dir.path()).unwrap();
             assert_eq!(
                 store.stored_bytes(),
@@ -861,14 +766,12 @@ mod tests {
         // retired FSE and LZ4 codec tags 2 and 3.
         let d = docs();
         let dir = TestDir::new("blocked-older-meta");
-        BlockedStore::build(
+        build_blocked(
             dir.path(),
-            d.iter().map(|v| v.as_slice()),
+            &d,
             BlockCodec::Zlite(rlz_zlite::Level::Default),
             4096,
-            2,
-        )
-        .unwrap();
+        );
         let meta = read_file(&dir.path().join(META_FILE)).unwrap();
         for first_byte in [0xF5, meta[1]] {
             let mut older = meta.clone();
@@ -894,14 +797,12 @@ mod tests {
     fn checksummed_store_detects_flips() {
         let dir = TestDir::new("blocked-crc");
         let d = docs();
-        BlockedStore::build(
+        build_blocked(
             dir.path(),
-            d.iter().map(|v| v.as_slice()),
+            &d,
             BlockCodec::Zlite(rlz_zlite::Level::Default),
             4096,
-            2,
-        )
-        .unwrap();
+        );
 
         // Flip one bit in the middle of the payload: the block holding it
         // must fail with a typed error naming the block, and every id in
@@ -968,22 +869,8 @@ mod tests {
         let dir_big = TestDir::new("blocked-ratio-big");
         let d = docs();
         let codec = BlockCodec::Zlite(rlz_zlite::Level::Default);
-        BlockedStore::build(
-            dir_small.path(),
-            d.iter().map(|v| v.as_slice()),
-            codec,
-            0,
-            4,
-        )
-        .unwrap();
-        BlockedStore::build(
-            dir_big.path(),
-            d.iter().map(|v| v.as_slice()),
-            codec,
-            1 << 20,
-            4,
-        )
-        .unwrap();
+        build_blocked(dir_small.path(), &d, codec, 0);
+        build_blocked(dir_big.path(), &d, codec, 1 << 20);
         let small = BlockedStore::open(dir_small.path()).unwrap().stored_bytes();
         let big = BlockedStore::open(dir_big.path()).unwrap().stored_bytes();
         assert!(big < small, "big-block {big} should beat per-doc {small}");
@@ -994,7 +881,7 @@ mod tests {
         let dir = TestDir::new("blocked-cache");
         let d = docs();
         let codec = BlockCodec::Zlite(rlz_zlite::Level::Default);
-        BlockedStore::build(dir.path(), d.iter().map(|v| v.as_slice()), codec, 16384, 2).unwrap();
+        build_blocked(dir.path(), &d, codec, 16384);
         let mut store = BlockedStore::open(dir.path()).unwrap();
         store.set_block_cache(true);
         for (i, doc) in d.iter().enumerate() {
@@ -1013,7 +900,7 @@ mod tests {
         let dir = TestDir::new("blocked-cache-shared");
         let d = docs();
         let codec = BlockCodec::Zlite(rlz_zlite::Level::Default);
-        BlockedStore::build(dir.path(), d.iter().map(|v| v.as_slice()), codec, 8192, 2).unwrap();
+        build_blocked(dir.path(), &d, codec, 8192);
         let mut store = BlockedStore::open(dir.path()).unwrap();
         store.set_block_cache_capacity(16);
         std::thread::scope(|scope| {
@@ -1037,7 +924,7 @@ mod tests {
     fn empty_collection_is_valid() {
         let dir = TestDir::new("blocked-empty");
         let codec = BlockCodec::Zlite(rlz_zlite::Level::Default);
-        BlockedStore::build(dir.path(), std::iter::empty(), codec, 4096, 1).unwrap();
+        build_blocked::<&[u8]>(dir.path(), &[], codec, 4096);
         let store = BlockedStore::open(dir.path()).unwrap();
         assert_eq!(store.num_docs(), 0);
     }

@@ -1,8 +1,8 @@
-//! Bounded-memory, parallel, streaming store construction.
+//! Bounded-memory, parallel, streaming store construction — the one way
+//! RLZ and blocked stores are written.
 //!
-//! The batch builders materialize the corpus (and every encoded record)
-//! before anything reaches disk, so peak RSS grows with the collection.
-//! This module rebuilds construction as a three-stage pipeline whose
+//! The paper encodes each document on its own against one shared
+//! dictionary, so construction parallelizes and streams. The pipeline's
 //! memory is **O(dictionary + in-flight blocks)** — the corpus streams
 //! through and never sits in RAM:
 //!
@@ -15,28 +15,32 @@
 //!   shared dictionary, each with a per-thread [`rlz_core::EncodeScratch`]
 //!   mirroring the read side's `DecodeScratch`;
 //! * one **writer** consumes completed blocks *in sequence order* and
-//!   appends records/blocks/checksums/docmap through the store family's
-//!   streamed writer ([`crate::AsciiWriter`] / [`crate::RlzWriter`] /
-//!   [`crate::BlockedWriter`]'s sink).
+//!   appends records (through [`RlzWriter`]) or storage blocks (through
+//!   the blocked store's sink).
 //!
-//! Both inter-stage channels are bounded ([`BuildConfig::queued_blocks`]),
-//! so a slow writer backpressures the workers and a slow reader starves
-//! them — nothing accumulates. The writer's reorder buffer is bounded by
-//! the same arithmetic ([`BuildConfig::max_inflight_blocks`]).
+//! The bound is enforced by credits: the reader takes one of
+//! [`BuildConfig::max_inflight_blocks`] credits before it pulls a block
+//! and the writer returns it once that block is on disk. A slow block
+//! therefore stalls the reader after at most that many blocks instead of
+//! letting the writer's reorder buffer absorb the rest of the input.
 //!
 //! Block boundaries only cut *between* documents and compression is per
-//! document (RLZ) or per storage block packed by the exact batch rule
-//! (blocked), so the emitted store is **byte-identical** to the serial
-//! oracle — asserted per family by the `build_stream` proptests.
+//! document (RLZ) or per storage block (blocked), so the emitted store
+//! does not depend on the thread count or the master-block size —
+//! asserted by `tests/build_stream.rs` against a sequential
+//! compress-and-append loop (RLZ) and a one-worker build (blocked).
 
 use crate::blocked::{BlockPacker, BlockedSink, RawBlock};
-use crate::{AsciiWriter, BlockCodec, RlzWriter, StoreError};
+use crate::{BlockCodec, RlzWriter, StoreError};
 use rlz_core::RlzCompressor;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
+
+/// Capacity of each bounded inter-stage channel, in blocks.
+const QUEUED_BLOCKS: usize = 4;
 
 /// Configuration for the chunked build pipeline, shared by every build
 /// binary (`--threads` / `--block-bytes` plumb into this instead of
@@ -50,9 +54,6 @@ pub struct BuildConfig {
     /// blocks of roughly this size (a single larger document still forms
     /// one block). Default 1 MiB.
     pub block_bytes: usize,
-    /// Capacity of each bounded inter-stage channel, in blocks — the
-    /// backpressure knob. Default 4.
-    pub queued_blocks: usize,
 }
 
 impl Default for BuildConfig {
@@ -60,20 +61,20 @@ impl Default for BuildConfig {
         BuildConfig {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             block_bytes: 1 << 20,
-            queued_blocks: 4,
         }
     }
 }
 
 impl BuildConfig {
-    /// Upper bound on master blocks resident at once: the reader queue,
-    /// one in each worker, the results queue, the writer's reorder buffer
-    /// (bounded by the same arithmetic) and the block being packed. The
+    /// Blocks resident at once, at most: the reader's credits. A block
+    /// holds one from the moment the reader starts packing it until the
+    /// writer has emitted it. Sized to keep every stage busy — both
+    /// channels full, two blocks per worker, one being packed. The
     /// pipeline's raw-byte high-water mark is
     /// `max_inflight_blocks() * block_bytes` plus one oversized document,
     /// which is what the build bench budgets RSS against.
     pub fn max_inflight_blocks(&self) -> usize {
-        2 * self.queued_blocks + 2 * self.threads.max(1) + 1
+        2 * QUEUED_BLOCKS + 2 * self.threads.max(1) + 1
     }
 }
 
@@ -85,19 +86,18 @@ pub struct BuildReport {
     pub docs: u64,
     /// Raw (uncompressed) corpus bytes consumed.
     pub raw_bytes: u64,
-    /// Master blocks (RLZ/ascii) or storage blocks (blocked) processed.
+    /// Master blocks (RLZ) or storage blocks (blocked) processed.
     pub blocks: u64,
 }
 
 /// Reader → workers → in-order writer over bounded channels. `blocks` is
-/// drained on a spawned reader thread; `work` runs on `threads` workers;
-/// `emit` observes results in exactly the order `blocks` yielded their
-/// inputs, on the calling thread. On an `emit` error the channels are
-/// dropped, upstream stages unwind, and the error is returned.
+/// drained on a spawned reader thread; `work` runs on `cfg.threads`
+/// workers; `emit` observes results in exactly the order `blocks` yielded
+/// their inputs, on the calling thread. On an `emit` error the channels
+/// are dropped, upstream stages unwind, and the error is returned.
 fn run_pipeline<B, R>(
-    blocks: impl Iterator<Item = B> + Send,
-    threads: usize,
-    queued: usize,
+    mut blocks: impl Iterator<Item = B> + Send,
+    cfg: &BuildConfig,
     work: impl Fn(B) -> R + Sync,
     mut emit: impl FnMut(R) -> Result<(), StoreError>,
 ) -> Result<(), StoreError>
@@ -105,24 +105,30 @@ where
     B: Send,
     R: Send,
 {
-    let threads = threads.max(1);
-    let queued = queued.max(1);
-    let (block_tx, block_rx) = sync_channel::<(u64, B)>(queued);
+    let (block_tx, block_rx) = sync_channel::<(u64, B)>(QUEUED_BLOCKS);
     // The std receiver is `!Sync`, so workers share it behind a mutex; the
     // lock is held only for the dequeue, never during compression.
     let block_rx = Arc::new(Mutex::new(block_rx));
-    let (result_tx, result_rx) = sync_channel::<(u64, R)>(queued);
+    let (result_tx, result_rx) = sync_channel::<(u64, R)>(QUEUED_BLOCKS);
+    let credits = cfg.max_inflight_blocks();
+    let (credit_tx, credit_rx) = sync_channel::<()>(credits);
+    for _ in 0..credits {
+        credit_tx.send(()).expect("credit receiver alive");
+    }
     std::thread::scope(|scope| {
         scope.spawn(move || {
-            for item in blocks.enumerate() {
-                // A send error means the pipeline shut down early (writer
-                // error); just stop reading.
-                if block_tx.send((item.0 as u64, item.1)).is_err() {
+            let mut seq = 0u64;
+            // A credit error means the writer stopped on an error; a send
+            // error that the workers are gone. Either way, stop reading.
+            while credit_rx.recv().is_ok() {
+                let Some(block) = blocks.next() else { break };
+                if block_tx.send((seq, block)).is_err() {
                     break;
                 }
+                seq += 1;
             }
         });
-        for _ in 0..threads {
+        for _ in 0..cfg.threads.max(1) {
             let block_rx = Arc::clone(&block_rx);
             let result_tx = result_tx.clone();
             let work = &work;
@@ -144,8 +150,7 @@ where
         drop(result_tx);
 
         // In-order emission: results arrive in completion order; hold the
-        // out-of-order ones (bounded by the in-flight arithmetic) until
-        // their turn.
+        // out-of-order ones (never more than the credits) until their turn.
         let mut pending: BTreeMap<u64, R> = BTreeMap::new();
         let mut next_seq = 0u64;
         let mut outcome = Ok(());
@@ -157,11 +162,15 @@ where
                     break 'recv;
                 }
                 next_seq += 1;
+                // Fails only once the reader has finished.
+                let _ = credit_tx.send(());
             }
         }
-        // Dropping the receiver fails the workers' sends; workers exiting
+        // Dropping the credit sender stops a reader waiting for a credit;
+        // dropping the receiver fails the workers' sends; workers exiting
         // drop the shared block receiver, failing the reader's sends — the
         // scope then joins everything.
+        drop(credit_tx);
         drop(result_rx);
         outcome
     })
@@ -177,12 +186,12 @@ struct DocChunk {
 /// Packs a document stream into master blocks of at most `block_bytes`
 /// (one oversized document still forms a block; documents are never
 /// split).
-fn doc_chunks(
-    mut docs: impl Iterator<Item = Vec<u8>>,
+fn doc_chunks<D: AsRef<[u8]>>(
+    mut docs: impl Iterator<Item = D>,
     block_bytes: usize,
 ) -> impl Iterator<Item = DocChunk> {
     let block_bytes = block_bytes.max(1);
-    let mut carry: Option<Vec<u8>> = None;
+    let mut carry: Option<D> = None;
     let mut done = false;
     std::iter::from_fn(move || {
         if done {
@@ -190,12 +199,13 @@ fn doc_chunks(
         }
         let mut chunk = DocChunk::default();
         while let Some(doc) = carry.take().or_else(|| docs.next()) {
-            if !chunk.lens.is_empty() && chunk.bytes.len() + doc.len() > block_bytes {
+            let doc_bytes = doc.as_ref();
+            if !chunk.lens.is_empty() && chunk.bytes.len() + doc_bytes.len() > block_bytes {
                 carry = Some(doc);
                 return Some(chunk);
             }
-            chunk.bytes.extend_from_slice(&doc);
-            chunk.lens.push(doc.len());
+            chunk.bytes.extend_from_slice(doc_bytes);
+            chunk.lens.push(doc_bytes.len());
         }
         done = true;
         if chunk.lens.is_empty() {
@@ -209,12 +219,11 @@ fn doc_chunks(
 /// Builds an RLZ store from a document stream with bounded memory:
 /// workers factorize master blocks against `compressor`'s shared
 /// dictionary (per-thread encode scratch), the writer streams encoded
-/// records to disk in document order. Byte-identical to
-/// [`crate::RlzStoreBuilder::build`] over the same documents.
-pub fn build_rlz_chunked(
+/// records to disk in document order through [`RlzWriter`].
+pub fn build_rlz_chunked<D: AsRef<[u8]> + Send>(
     dir: &Path,
     compressor: &RlzCompressor,
-    docs: impl Iterator<Item = Vec<u8>> + Send,
+    docs: impl Iterator<Item = D> + Send,
     cfg: &BuildConfig,
 ) -> Result<BuildReport, StoreError> {
     struct EncodedChunk {
@@ -226,8 +235,7 @@ pub fn build_rlz_chunked(
     let mut report = BuildReport::default();
     run_pipeline(
         doc_chunks(docs, cfg.block_bytes),
-        cfg.threads,
-        cfg.queued_blocks,
+        cfg,
         |chunk: DocChunk| {
             let mut bytes = Vec::new();
             let mut lens = Vec::with_capacity(chunk.lens.len());
@@ -263,18 +271,17 @@ pub fn build_rlz_chunked(
 }
 
 /// Builds a blocked store from a document stream with bounded memory:
-/// the reader packs storage blocks with the exact batch-builder rule,
-/// workers compress them, the writer emits them in order. Byte-identical
-/// to [`crate::BlockedStore::build`] over the same documents.
+/// the reader packs storage blocks, workers compress them, the writer
+/// emits them in order.
 ///
 /// `block_size` is the *storage* block budget (0 = one document per
 /// block), which doubles as the pipeline's work granularity;
 /// [`BuildConfig::block_bytes`] is not used here.
-pub fn build_blocked_chunked(
+pub fn build_blocked_chunked<D: AsRef<[u8]> + Send>(
     dir: &Path,
     codec: BlockCodec,
     block_size: usize,
-    docs: impl Iterator<Item = Vec<u8>> + Send,
+    docs: impl Iterator<Item = D> + Send,
     cfg: &BuildConfig,
 ) -> Result<BuildReport, StoreError> {
     /// Reader → worker items: packed storage blocks, then (last) the
@@ -298,7 +305,7 @@ pub fn build_blocked_chunked(
         let p = packer.as_mut()?;
         match docs.next() {
             Some(doc) => {
-                if let Some(block) = p.push(&doc) {
+                if let Some(block) = p.push(doc.as_ref()) {
                     return Some(Item::Packed(block));
                 }
             }
@@ -318,8 +325,7 @@ pub fn build_blocked_chunked(
     let mut report = BuildReport::default();
     run_pipeline(
         blocks,
-        cfg.threads,
-        cfg.queued_blocks,
+        cfg,
         |item: Item| match item {
             Item::Packed(raw) => {
                 let comp = codec.compress(&raw.bytes);
@@ -347,148 +353,18 @@ pub fn build_blocked_chunked(
     Ok(report)
 }
 
-/// Builds an uncompressed [`crate::AsciiStore`] from a document stream
-/// with bounded memory. There is no CPU stage to parallelize — the
-/// "pipeline" degenerates to the streamed [`AsciiWriter`] — but the entry
-/// point exists so every family builds through the same `BuildConfig`
-/// surface. Byte-identical to [`crate::AsciiStore::build`].
-pub fn build_ascii_chunked(
-    dir: &Path,
-    docs: impl Iterator<Item = Vec<u8>>,
-    _cfg: &BuildConfig,
-) -> Result<BuildReport, StoreError> {
-    let mut writer = AsciiWriter::create(dir)?;
-    let mut report = BuildReport::default();
-    for doc in docs {
-        writer.append(&doc)?;
-        report.docs += 1;
-        report.raw_bytes += doc.len() as u64;
-    }
-    report.blocks = report.docs;
-    writer.finish()?;
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::TestDir;
-    use crate::{AsciiStore, BlockedStore, DocStore, RlzStore, RlzStoreBuilder};
-    use rlz_core::{Dictionary, PairCoding, SampleStrategy};
-
-    fn corpus() -> Vec<Vec<u8>> {
-        (0..300)
-            .map(|i| {
-                format!(
-                    "<doc {i}><nav>home products</nav><p>{}</p></doc>",
-                    "shared phrase ".repeat(i % 31)
-                )
-                .into_bytes()
-            })
-            .collect()
-    }
-
-    fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-        let mut out = BTreeMap::new();
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let entry = entry.unwrap();
-            out.insert(
-                entry.file_name().to_string_lossy().into_owned(),
-                std::fs::read(entry.path()).unwrap(),
-            );
-        }
-        out
-    }
-
-    #[test]
-    fn rlz_chunked_matches_serial_oracle() {
-        let docs = corpus();
-        let all: Vec<u8> = docs.concat();
-        let dict = Dictionary::sample(&all, 2048, 256, SampleStrategy::Evenly);
-        let serial = TestDir::new("build-rlz-serial");
-        let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-        let builder = RlzStoreBuilder::new(dict, PairCoding::ZV).threads(2);
-        builder.build(serial.path(), &slices).unwrap();
-
-        for (threads, block_bytes) in [(1usize, 512usize), (4, 4096), (3, 1)] {
-            let chunked = TestDir::new(&format!("build-rlz-chunked-{threads}-{block_bytes}"));
-            let cfg = BuildConfig {
-                threads,
-                block_bytes,
-                queued_blocks: 2,
-            };
-            let report = build_rlz_chunked(
-                chunked.path(),
-                builder.compressor(),
-                docs.iter().cloned(),
-                &cfg,
-            )
-            .unwrap();
-            assert_eq!(report.docs, docs.len() as u64);
-            assert_eq!(report.raw_bytes, all.len() as u64);
-            assert_eq!(
-                dir_bytes(serial.path()),
-                dir_bytes(chunked.path()),
-                "threads {threads} block {block_bytes}"
-            );
-            let store = RlzStore::open(chunked.path()).unwrap();
-            for (i, doc) in docs.iter().enumerate() {
-                assert_eq!(&store.get(i).unwrap(), doc);
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_chunked_matches_serial_oracle() {
-        let docs = corpus();
-        for block_size in [0usize, 4096] {
-            let serial = TestDir::new(&format!("build-blocked-serial-{block_size}"));
-            let codec = BlockCodec::Zlite(rlz_zlite::Level::Default);
-            BlockedStore::build(
-                serial.path(),
-                docs.iter().map(|d| d.as_slice()),
-                codec,
-                block_size,
-                2,
-            )
-            .unwrap();
-            let chunked = TestDir::new(&format!("build-blocked-chunked-{block_size}"));
-            let cfg = BuildConfig {
-                threads: 4,
-                block_bytes: 1 << 20,
-                queued_blocks: 2,
-            };
-            build_blocked_chunked(
-                chunked.path(),
-                codec,
-                block_size,
-                docs.iter().cloned(),
-                &cfg,
-            )
-            .unwrap();
-            assert_eq!(dir_bytes(serial.path()), dir_bytes(chunked.path()));
-        }
-    }
-
-    #[test]
-    fn ascii_chunked_matches_serial_oracle() {
-        let docs = corpus();
-        let serial = TestDir::new("build-ascii-serial");
-        AsciiStore::build(serial.path(), docs.iter().map(|d| d.as_slice())).unwrap();
-        let chunked = TestDir::new("build-ascii-chunked");
-        build_ascii_chunked(
-            chunked.path(),
-            docs.iter().cloned(),
-            &BuildConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(dir_bytes(serial.path()), dir_bytes(chunked.path()));
-    }
+    use crate::{BlockedStore, DocStore, RlzStore};
+    use rlz_core::{Dictionary, PairCoding};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn oversized_document_forms_its_own_block() {
-        let docs = vec![vec![b'a'; 10], vec![b'b'; 5000], vec![b'c'; 10]];
-        let chunks: Vec<DocChunk> = doc_chunks(docs.clone().into_iter(), 64).collect();
+        let docs = [vec![b'a'; 10], vec![b'b'; 5000], vec![b'c'; 10]];
+        let chunks: Vec<DocChunk> = doc_chunks(docs.iter(), 64).collect();
         assert_eq!(chunks.len(), 3);
         assert_eq!(chunks[1].bytes.len(), 5000);
         assert_eq!(
@@ -503,29 +379,84 @@ mod tests {
         let dict = Dictionary::from_bytes(b"seed".to_vec());
         let comp = RlzCompressor::new(dict, PairCoding::UV);
         let rlz = TestDir::new("build-empty-rlz");
-        let report = build_rlz_chunked(rlz.path(), &comp, std::iter::empty(), &cfg).unwrap();
+        let report =
+            build_rlz_chunked(rlz.path(), &comp, std::iter::empty::<&[u8]>(), &cfg).unwrap();
         assert_eq!(report.docs, 0);
         assert_eq!(RlzStore::open(rlz.path()).unwrap().num_docs(), 0);
 
         let blocked = TestDir::new("build-empty-blocked");
-        let serial = TestDir::new("build-empty-blocked-serial");
         let codec = BlockCodec::Zlite(rlz_zlite::Level::Default);
-        build_blocked_chunked(blocked.path(), codec, 4096, std::iter::empty(), &cfg).unwrap();
-        BlockedStore::build(serial.path(), std::iter::empty(), codec, 4096, 1).unwrap();
-        assert_eq!(dir_bytes(serial.path()), dir_bytes(blocked.path()));
+        let report = build_blocked_chunked(
+            blocked.path(),
+            codec,
+            4096,
+            std::iter::empty::<&[u8]>(),
+            &cfg,
+        )
+        .unwrap();
+        assert_eq!(report.docs, 0);
+        assert_eq!(BlockedStore::open(blocked.path()).unwrap().num_docs(), 0);
     }
 
     #[test]
     fn writer_error_unwinds_the_pipeline() {
         // An emit error must propagate out of run_pipeline without
         // deadlocking reader or workers.
+        let cfg = BuildConfig {
+            threads: 2,
+            ..BuildConfig::default()
+        };
         let err = run_pipeline(
             (0..10_000u64).map(|i| vec![i as u8; 64]),
-            2,
-            2,
+            &cfg,
             |b: Vec<u8>| b,
             |_b: Vec<u8>| Err(StoreError::corrupt("synthetic writer failure")),
         );
         assert!(matches!(err, Err(StoreError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn read_ahead_is_bounded_while_one_block_is_slow() {
+        // Block 0 is held while the other worker finishes everything the
+        // reader hands it. Without credits the reader runs through the
+        // whole input into the writer's reorder buffer; the hold ends as
+        // soon as it passes the bound, or after a timeout when it cannot.
+        let cfg = BuildConfig {
+            threads: 2,
+            ..BuildConfig::default()
+        };
+        let bound = cfg.max_inflight_blocks();
+        let (overrun_tx, overrun_rx) = sync_channel::<()>(1);
+        let overrun_rx = Mutex::new(overrun_rx);
+        let pulled = AtomicUsize::new(0);
+        let mut emitted = 0usize;
+        let mut read_ahead = 0usize;
+        run_pipeline(
+            (0..10_000usize).inspect(|_| {
+                if pulled.fetch_add(1, Ordering::SeqCst) == bound {
+                    let _ = overrun_tx.try_send(());
+                }
+            }),
+            &cfg,
+            |i: usize| {
+                if i == 0 {
+                    let overrun = overrun_rx.lock().expect("no poisoning");
+                    let _ = overrun.recv_timeout(std::time::Duration::from_millis(300));
+                }
+                i
+            },
+            |i: usize| {
+                assert_eq!(i, emitted, "emitted out of order");
+                read_ahead = read_ahead.max(pulled.load(Ordering::SeqCst) - emitted);
+                emitted += 1;
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(emitted, 10_000);
+        assert!(
+            read_ahead <= bound,
+            "reader ran {read_ahead} blocks ahead of the writer, over the {bound} in flight"
+        );
     }
 }

@@ -5,8 +5,16 @@
 //! compression systems." Offsets are monotone, so the map serializes as
 //! delta-vbyte.
 
+use crate::verify::{encode_sums, write_quarantine, SUMS_FILE};
 use crate::StoreError;
+use rlz_codecs::hash::crc32c;
 use rlz_codecs::vbyte;
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::{Path, PathBuf};
+
+/// The document map's file in every store directory.
+pub(crate) const MAP_FILE: &str = "docmap.bin";
 
 /// Monotone offsets delimiting `n` documents (`n + 1` entries).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,6 +120,55 @@ impl DocMap {
             offsets.push(at);
         }
         Ok(DocMap::from_offsets(offsets))
+    }
+}
+
+/// Streams one record per document into a payload file and, on
+/// [`finish`](Self::finish), writes the docmap and the `sums.bin` sidecar
+/// (one CRC32C per record) — the container shared by `AsciiStore` (raw
+/// documents in `data.bin`) and `RlzStore` (encoded records in
+/// `payload.bin`). Peak memory is one record plus the length and checksum
+/// tables, never the corpus.
+#[derive(Debug)]
+pub(crate) struct RecordWriter {
+    payload: BufWriter<File>,
+    pub(crate) dir: PathBuf,
+    lens: Vec<usize>,
+    sums: Vec<u32>,
+}
+
+impl RecordWriter {
+    /// Creates `dir` and opens `payload_file` in it for streaming appends.
+    /// A quarantine sidecar left by an earlier store in `dir` is removed:
+    /// its doc ids name documents of that store, not of this one.
+    pub fn create(dir: &Path, payload_file: &str) -> Result<Self, StoreError> {
+        std::fs::create_dir_all(dir)?;
+        write_quarantine(dir, &[])?;
+        Ok(RecordWriter {
+            payload: BufWriter::new(File::create(dir.join(payload_file))?),
+            dir: dir.to_path_buf(),
+            lens: Vec::new(),
+            sums: Vec::new(),
+        })
+    }
+
+    /// Appends the next document's record.
+    pub fn append(&mut self, record: &[u8]) -> Result<(), StoreError> {
+        self.payload.write_all(record)?;
+        self.lens.push(record.len());
+        self.sums.push(crc32c(record));
+        Ok(())
+    }
+
+    /// Flushes the payload and writes the docmap and checksum sidecar.
+    pub fn finish(mut self) -> Result<(), StoreError> {
+        self.payload.flush()?;
+        std::fs::write(
+            self.dir.join(MAP_FILE),
+            DocMap::from_lens(self.lens).serialize(),
+        )?;
+        std::fs::write(self.dir.join(SUMS_FILE), encode_sums(&self.sums))?;
+        Ok(())
     }
 }
 

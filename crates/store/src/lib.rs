@@ -44,8 +44,8 @@
 //! # Example
 //!
 //! ```
-//! use rlz_store::{DocStore, RlzStore, RlzStoreBuilder};
-//! use rlz_core::{Dictionary, PairCoding, SampleStrategy};
+//! use rlz_store::{build_rlz_chunked, BuildConfig, DocStore, RlzStore};
+//! use rlz_core::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
 //!
 //! let docs: Vec<Vec<u8>> = (0..50)
 //!     .map(|i| format!("<page>{i} shared header</page>").into_bytes())
@@ -54,8 +54,8 @@
 //! let dict = Dictionary::sample(&all, 256, 64, SampleStrategy::Evenly);
 //!
 //! let dir = std::env::temp_dir().join("rlz-doc-example");
-//! let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-//! RlzStoreBuilder::new(dict, PairCoding::UV).build(&dir, &slices).unwrap();
+//! let compressor = RlzCompressor::new(dict, PairCoding::UV);
+//! build_rlz_chunked(&dir, &compressor, docs.iter(), &BuildConfig::default()).unwrap();
 //!
 //! let store = RlzStore::open(&dir).unwrap();
 //! assert_eq!(store.get(7).unwrap(), docs[7]);
@@ -85,17 +85,15 @@ pub(crate) mod testutil;
 mod verify;
 mod wal;
 
-pub use ascii::{AsciiStore, AsciiWriter};
+pub use ascii::AsciiStore;
 pub use backend::{FileBackend, MemBackend, StorageBackend};
-pub use blocked::{BlockCodec, BlockedStore, BlockedWriter};
-pub use build::{
-    build_ascii_chunked, build_blocked_chunked, build_rlz_chunked, BuildConfig, BuildReport,
-};
+pub use blocked::{BlockCodec, BlockedStore};
+pub use build::{build_blocked_chunked, build_rlz_chunked, BuildConfig, BuildReport};
 pub use cache::ShardedLru;
 pub use docmap::DocMap;
 pub use fault::{FaultBackend, FaultMedia, FaultPlan};
 pub use live::{scrub_live, LiveConfig, LiveSnapshot, LiveStore, RecoveryInfo};
-pub use rlz_store::{RlzStore, RlzStoreBuilder, RlzWriter};
+pub use rlz_store::{RlzStore, RlzWriter};
 pub use segment::{segment_file_name, Manifest, SegmentReader, MANIFEST_FILE};
 pub use verify::{write_quarantine, BadUnit, ScrubReport, QUARANTINE_FILE};
 pub use wal::{FileMedia, FsyncPolicy, Wal, WalMedia, WalOp, WalRecord, WalRecovery, WAL_FILE};
@@ -467,40 +465,6 @@ pub(crate) fn scatter_chunks<T: Sync, R: Send>(
         .collect()
 }
 
-/// Maps `f` over `items` using `threads` OS threads, preserving order.
-/// Used for parallel compression at build time.
-pub(crate) fn parallel_map<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let slots_mutex: Vec<std::sync::Mutex<&mut Option<R>>> =
-        slots.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                **slots_mutex[i].lock().expect("no poisoning") = Some(r);
-            });
-        }
-    });
-    drop(slots_mutex);
-    slots
-        .into_iter()
-        .map(|s| s.expect("all computed"))
-        .collect()
-}
-
 thread_local! {
     /// Per-thread scratch for encoded records, so the hot read path does
     /// not allocate per get.
@@ -554,6 +518,22 @@ pub(crate) fn with_encode_scratch<R>(f: impl FnOnce(&mut rlz_core::EncodeScratch
     ENCODE_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
+/// The store family whose layout `dir` holds — `"live"`, `"rlz"`,
+/// `"blocked"` or `"ascii"` — by the file each family's writer always
+/// emits; `None` when no layout matches. A live directory also carries
+/// `dict.bin`, so its `MANIFEST` is probed first.
+pub fn detect_family(dir: &Path) -> Option<&'static str> {
+    [
+        (MANIFEST_FILE, "live"),
+        (rlz_store::DICT_FILE, "rlz"),
+        (blocked::BLOCKS_FILE, "blocked"),
+        (ascii::DATA_FILE, "ascii"),
+    ]
+    .into_iter()
+    .find(|(file, _)| dir.join(file).exists())
+    .map(|(_, family)| family)
+}
+
 /// Reads a whole file (helper shared by store readers).
 pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
     Ok(std::fs::read(path)?)
@@ -562,14 +542,32 @@ pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{build_blocked, build_rlz, TestDir};
+    use rlz_core::{Dictionary, PairCoding};
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u32> = (0..1000).collect();
-        let out = parallel_map(&items, 8, |&x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        let single = parallel_map(&items, 1, |&x| x + 1);
-        assert_eq!(single[999], 1000);
+    fn detect_family_recognizes_each_layout() {
+        let docs: [&[u8]; 2] = [b"alpha", b"beta"];
+        let ascii = TestDir::new("detect-ascii");
+        AsciiStore::build(ascii.path(), docs.into_iter()).unwrap();
+        let blocked = TestDir::new("detect-blocked");
+        build_blocked(
+            blocked.path(),
+            &docs,
+            BlockCodec::Zlite(rlz_zlite::Level::Fast),
+            0,
+        );
+        let rlz = TestDir::new("detect-rlz");
+        let dict = Dictionary::from_bytes(b"alphabeta".to_vec());
+        build_rlz(rlz.path(), dict.clone(), PairCoding::UV, &docs);
+        let live = TestDir::new("detect-live");
+        LiveStore::create(live.path(), dict, PairCoding::UV, LiveConfig::default()).unwrap();
+        let empty = TestDir::new("detect-empty");
+        assert_eq!(detect_family(ascii.path()), Some("ascii"));
+        assert_eq!(detect_family(blocked.path()), Some("blocked"));
+        assert_eq!(detect_family(rlz.path()), Some("rlz"));
+        assert_eq!(detect_family(live.path()), Some("live"));
+        assert_eq!(detect_family(empty.path()), None);
     }
 
     #[test]

@@ -300,6 +300,8 @@ impl LiveStore {
                 "directory already holds a live store",
             )));
         }
+        // A quarantine left by an earlier store names its documents, not ours.
+        crate::write_quarantine(dir, &[])?;
         std::fs::write(dir.join(DICT_FILE), dict.bytes())?;
         let mut meta = vec![META_VERSION_LIVE];
         meta.extend_from_slice(coding.name().as_bytes());
@@ -1148,5 +1150,15 @@ mod tests {
             store.get(bad_ids[0] as usize).unwrap_err(),
             StoreError::Corrupt { .. }
         ));
+    }
+
+    #[test]
+    fn create_drops_a_quarantine_left_in_the_directory() {
+        let dir = TestDir::new("live-stale-quarantine");
+        crate::write_quarantine(dir.path(), &[0]).unwrap();
+        let store = LiveStore::create(dir.path(), dict(), PairCoding::ZV, small_config()).unwrap();
+        let id = store.put(&doc(0)).unwrap();
+        assert_eq!(store.quarantined_docs(), 0);
+        assert_eq!(store.get(id as usize).unwrap(), doc(0));
     }
 }

@@ -10,19 +10,16 @@
 //! and every read uses positional I/O, so one store serves many threads.
 
 use crate::backend::{FileBackend, MemBackend, StorageBackend};
-use crate::docmap::DocMap;
-use crate::verify::{encode_sums, load_quarantine, load_sums, BadUnit, ScrubReport, SUMS_FILE};
+use crate::docmap::{DocMap, RecordWriter, MAP_FILE};
+use crate::verify::{load_quarantine, load_sums, BadUnit, ScrubReport};
 use crate::{read_file, DocStore, StoreError};
 use rlz_codecs::hash::crc32c;
-use rlz_core::{Dictionary, PairCoding, RlzCompressor};
-use std::fs::File;
-use std::io::Write;
+use rlz_core::PairCoding;
 use std::path::Path;
 use std::sync::Arc;
 
-const DICT_FILE: &str = "dict.bin";
+pub(crate) const DICT_FILE: &str = "dict.bin";
 const PAYLOAD_FILE: &str = "payload.bin";
-const MAP_FILE: &str = "docmap.bin";
 const META_FILE: &str = "meta.bin";
 
 /// Leads `meta.bin`: `[0xF6, 0x01, coding name…]` — the layout version and
@@ -30,107 +27,45 @@ const META_FILE: &str = "meta.bin";
 /// only layout the writer emits and the only one `open` accepts.
 const META_HEADER: [u8; 2] = [0xF6, 0x01];
 
-/// Builds RLZ stores.
-#[derive(Debug)]
-pub struct RlzStoreBuilder {
-    compressor: RlzCompressor,
-    threads: usize,
-}
-
-impl RlzStoreBuilder {
-    /// Creates a builder over a prepared dictionary.
-    pub fn new(dict: Dictionary, coding: PairCoding) -> Self {
-        RlzStoreBuilder {
-            compressor: RlzCompressor::new(dict, coding),
-            threads: 1,
-        }
-    }
-
-    /// Compresses documents on `threads` OS threads (factorizations are
-    /// independent; the paper stresses compression-time scalability).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Access to the underlying compressor (e.g. for statistics).
-    pub fn compressor(&self) -> &RlzCompressor {
-        &self.compressor
-    }
-
-    /// Builds the store in `dir`.
-    pub fn build(&self, dir: &Path, docs: &[&[u8]]) -> Result<(), StoreError> {
-        let encoded = crate::parallel_map(docs, self.threads, |doc| self.compressor.compress(doc));
-        let mut writer = RlzWriter::create(
-            dir,
-            self.compressor.dict().bytes(),
-            self.compressor.coding(),
-        )?;
-        for e in &encoded {
-            writer.append_encoded(e)?;
-        }
-        writer.finish()
-    }
-}
-
-/// Streamed builder for [`RlzStore`]: pre-encoded records are appended one
+/// Streamed writer for [`RlzStore`]: pre-encoded records are appended one
 /// at a time and land on disk immediately, so peak memory is one record
 /// plus the per-document length/checksum tables — never the corpus. The
-/// chunked build pipeline's writer thread drives this; the batch
-/// [`RlzStoreBuilder::build`] emits through the same writer, so the two
-/// produce byte-identical stores by construction.
+/// chunked build pipeline ([`crate::build_rlz_chunked`]) drives it from
+/// its writer thread.
 ///
 /// Callers compress documents themselves (via
-/// [`RlzCompressor::compress`] or the scratch-reusing
-/// [`RlzCompressor::compress_with`]) and hand the encoded record to
+/// [`rlz_core::RlzCompressor::compress`] or the scratch-reusing
+/// [`rlz_core::RlzCompressor::compress_with`]) and hand the encoded record to
 /// [`append_encoded`](Self::append_encoded) — that split is what lets a
 /// worker pool own the CPU-heavy factorization while one writer owns the
 /// files.
 #[derive(Debug)]
 pub struct RlzWriter {
-    payload: std::io::BufWriter<File>,
-    dir: std::path::PathBuf,
+    records: RecordWriter,
     coding: PairCoding,
-    lens: Vec<usize>,
-    sums: Vec<u32>,
 }
 
 impl RlzWriter {
     /// Creates `dir`, writes the dictionary file, and opens the payload for
     /// streaming appends.
     pub fn create(dir: &Path, dict_bytes: &[u8], coding: PairCoding) -> Result<Self, StoreError> {
-        std::fs::create_dir_all(dir)?;
+        let records = RecordWriter::create(dir, PAYLOAD_FILE)?;
         std::fs::write(dir.join(DICT_FILE), dict_bytes)?;
-        Ok(RlzWriter {
-            payload: std::io::BufWriter::new(File::create(dir.join(PAYLOAD_FILE))?),
-            dir: dir.to_path_buf(),
-            coding,
-            lens: Vec::new(),
-            sums: Vec::new(),
-        })
+        Ok(RlzWriter { records, coding })
     }
 
     /// Appends one pre-encoded record (the next document, in order).
     pub fn append_encoded(&mut self, record: &[u8]) -> Result<(), StoreError> {
-        self.payload.write_all(record)?;
-        self.lens.push(record.len());
-        self.sums.push(crc32c(record));
-        Ok(())
+        self.records.append(record)
     }
 
-    /// Flushes the payload and writes the docmap, checksum sidecar and
-    /// metadata, completing the store.
-    pub fn finish(mut self) -> Result<(), StoreError> {
-        self.payload.flush()?;
-        std::fs::write(
-            self.dir.join(MAP_FILE),
-            DocMap::from_lens(self.lens).serialize(),
-        )?;
-        std::fs::write(self.dir.join(SUMS_FILE), encode_sums(&self.sums))?;
+    /// Writes the metadata, then flushes the payload and writes the docmap
+    /// and checksum sidecar, completing the store.
+    pub fn finish(self) -> Result<(), StoreError> {
         let mut meta = META_HEADER.to_vec();
         meta.extend_from_slice(self.coding.name().as_bytes());
-        std::fs::write(self.dir.join(META_FILE), meta)?;
-        Ok(())
+        std::fs::write(self.records.dir.join(META_FILE), meta)?;
+        self.records.finish()
     }
 }
 
@@ -329,8 +264,8 @@ impl DocStore for RlzStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::TestDir;
-    use rlz_core::SampleStrategy;
+    use crate::testutil::{build_rlz, TestDir};
+    use rlz_core::{Dictionary, SampleStrategy};
 
     fn collection() -> Vec<Vec<u8>> {
         (0..200)
@@ -349,11 +284,7 @@ mod tests {
         let all: Vec<u8> = docs.concat();
         let dict = Dictionary::sample(&all, 2048, 256, SampleStrategy::Evenly);
         let dir = TestDir::new(&format!("rlzstore-{}", coding.name()));
-        let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-        RlzStoreBuilder::new(dict, coding)
-            .threads(4)
-            .build(dir.path(), &slices)
-            .unwrap();
+        build_rlz(dir.path(), dict, coding, &docs);
         for store in [
             RlzStore::open(dir.path()).unwrap(),
             RlzStore::open_resident(dir.path()).unwrap(),
@@ -379,11 +310,7 @@ mod tests {
         let all: Vec<u8> = docs.concat();
         let dict = Dictionary::sample(&all, all.len() / 50, 512, SampleStrategy::Evenly);
         let dir = TestDir::new("rlzstore-ratio");
-        let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-        RlzStoreBuilder::new(dict, PairCoding::ZZ)
-            .threads(4)
-            .build(dir.path(), &slices)
-            .unwrap();
+        build_rlz(dir.path(), dict, PairCoding::ZZ, &docs);
         let store = RlzStore::open(dir.path()).unwrap();
         let ratio = store.total_stored_bytes() as f64 / all.len() as f64;
         assert!(ratio < 0.5, "ratio {ratio:.3}");
@@ -395,14 +322,9 @@ mod tests {
         let all: Vec<u8> = docs.concat();
         let dict = Dictionary::sample(&all, 2048, 256, SampleStrategy::Evenly);
         let dir = TestDir::new("rlzstore-footprint");
-        let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-        RlzStoreBuilder::new(dict, PairCoding::UV)
-            .build(dir.path(), &slices)
-            .unwrap();
+        build_rlz(dir.path(), dict, PairCoding::UV, &docs);
         let store = RlzStore::open(dir.path()).unwrap();
-        let map_file = std::fs::metadata(dir.path().join(super::MAP_FILE))
-            .unwrap()
-            .len();
+        let map_file = std::fs::metadata(dir.path().join(MAP_FILE)).unwrap().len();
         assert_eq!(
             store.total_stored_bytes(),
             store.stored_bytes() + store.dict_bytes() as u64 + map_file
@@ -413,9 +335,12 @@ mod tests {
     fn empty_docs_and_empty_store() {
         let dict = Dictionary::from_bytes(b"seed".to_vec());
         let dir = TestDir::new("rlzstore-empty");
-        RlzStoreBuilder::new(dict, PairCoding::UV)
-            .build(dir.path(), &[b"".as_slice(), b"x", b""])
-            .unwrap();
+        build_rlz(
+            dir.path(),
+            dict,
+            PairCoding::UV,
+            &[b"".as_slice(), b"x", b""],
+        );
         let store = RlzStore::open(dir.path()).unwrap();
         assert_eq!(store.get(0).unwrap(), b"");
         assert_eq!(store.get(1).unwrap(), b"x");
@@ -429,11 +354,7 @@ mod tests {
         let all: Vec<u8> = docs.concat();
         let dict = Dictionary::sample(&all, 2048, 256, SampleStrategy::Evenly);
         let dir = TestDir::new("rlzstore-batch");
-        let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-        RlzStoreBuilder::new(dict, PairCoding::ZV)
-            .threads(4)
-            .build(dir.path(), &slices)
-            .unwrap();
+        build_rlz(dir.path(), dict, PairCoding::ZV, &docs);
         let store = RlzStore::open(dir.path()).unwrap();
         let ids: Vec<u32> = (0..docs.len() as u32).rev().collect();
         for threads in [1, 4] {
@@ -453,10 +374,7 @@ mod tests {
         let all: Vec<u8> = docs.concat();
         let dict = Dictionary::sample(&all, 2048, 256, SampleStrategy::Evenly);
         let dir = TestDir::new("rlzstore-partial");
-        let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-        RlzStoreBuilder::new(dict, PairCoding::UV)
-            .build(dir.path(), &slices)
-            .unwrap();
+        build_rlz(dir.path(), dict, PairCoding::UV, &docs);
         // Truncate the payload so later records read past EOF or decode
         // mid-record; any failing get must not leave partial bytes in a
         // reused output buffer.
@@ -480,9 +398,7 @@ mod tests {
     fn open_rejects_corrupt_meta() {
         let dict = Dictionary::from_bytes(b"seed".to_vec());
         let dir = TestDir::new("rlzstore-badmeta");
-        RlzStoreBuilder::new(dict, PairCoding::UV)
-            .build(dir.path(), &[b"doc".as_slice()])
-            .unwrap();
+        build_rlz(dir.path(), dict, PairCoding::UV, &[b"doc".as_slice()]);
         std::fs::write(dir.path().join(super::META_FILE), b"??").unwrap();
         assert!(RlzStore::open(dir.path()).is_err());
         // The right version byte with a bogus checksum tag must also fail.
@@ -508,10 +424,7 @@ mod tests {
         let all: Vec<u8> = docs.concat();
         let dict = Dictionary::sample(&all, 2048, 256, SampleStrategy::Evenly);
         let dir = TestDir::new("rlzstore-legacy-meta");
-        let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-        RlzStoreBuilder::new(dict, PairCoding::ZV)
-            .build(dir.path(), &slices)
-            .unwrap();
+        build_rlz(dir.path(), dict, PairCoding::ZV, &docs);
         // The layout an earlier version wrote — the bare coding name —
         // is a typed open error, not a silently unverified store.
         std::fs::write(dir.path().join(super::META_FILE), b"ZV").unwrap();
@@ -526,7 +439,7 @@ mod tests {
         )
         .unwrap();
         RlzStore::open(dir.path()).unwrap();
-        std::fs::remove_file(dir.path().join(super::SUMS_FILE)).unwrap();
+        std::fs::remove_file(dir.path().join(crate::verify::SUMS_FILE)).unwrap();
         assert!(matches!(
             RlzStore::open(dir.path()),
             Err(StoreError::Corrupt { .. })
@@ -539,10 +452,7 @@ mod tests {
         let all: Vec<u8> = docs.concat();
         let dict = Dictionary::sample(&all, 2048, 256, SampleStrategy::Evenly);
         let dir = TestDir::new("rlzstore-crc");
-        let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-        RlzStoreBuilder::new(dict, PairCoding::UV)
-            .build(dir.path(), &slices)
-            .unwrap();
+        build_rlz(dir.path(), dict, PairCoding::UV, &docs);
         let path = dir.path().join(super::PAYLOAD_FILE);
         let mut payload = std::fs::read(&path).unwrap();
         let victim = payload.len() / 2;

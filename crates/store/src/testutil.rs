@@ -1,6 +1,8 @@
 //! Self-cleaning temporary directories for store tests (no external
-//! tempfile dependency).
+//! tempfile dependency), and one-call store builds over a document slice.
 
+use crate::{build_blocked_chunked, build_rlz_chunked, BlockCodec, BuildConfig};
+use rlz_core::{Dictionary, PairCoding, RlzCompressor};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,4 +33,26 @@ impl Drop for TestDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.path);
     }
+}
+
+/// Builds an RLZ store of `docs` in `dir` through the chunked pipeline.
+pub fn build_rlz<D: AsRef<[u8]> + Sync>(
+    dir: &Path,
+    dict: Dictionary,
+    coding: PairCoding,
+    docs: &[D],
+) {
+    let compressor = RlzCompressor::new(dict, coding);
+    build_rlz_chunked(dir, &compressor, docs.iter(), &BuildConfig::default()).expect("rlz build");
+}
+
+/// Builds a blocked store of `docs` in `dir` through the chunked pipeline.
+pub fn build_blocked<D: AsRef<[u8]> + Sync>(
+    dir: &Path,
+    docs: &[D],
+    codec: BlockCodec,
+    block_size: usize,
+) {
+    build_blocked_chunked(dir, codec, block_size, docs.iter(), &BuildConfig::default())
+        .expect("blocked build");
 }

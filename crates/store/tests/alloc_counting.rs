@@ -9,8 +9,8 @@
 //! (one `#[test]` in this binary) so no other test's allocations can leak
 //! into the window.
 
-use rlz_core::{Dictionary, PairCoding, SampleStrategy};
-use rlz_store::{DocStore, RlzStore, RlzStoreBuilder};
+use rlz_core::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
+use rlz_store::{build_rlz_chunked, BuildConfig, DocStore, RlzStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -82,10 +82,13 @@ fn check_coding(coding: PairCoding) {
         coding.name(),
         std::process::id()
     ));
-    let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-    RlzStoreBuilder::new(dict, coding)
-        .build(&dir, &slices)
-        .unwrap();
+    build_rlz_chunked(
+        &dir,
+        &RlzCompressor::new(dict, coding),
+        docs.iter(),
+        &BuildConfig::default(),
+    )
+    .unwrap();
     // Resident payload: reads are memcpys, so the loop below exercises
     // exactly the decode pipeline (a FileBackend pread doesn't allocate in
     // userspace either, but resident keeps the kernel out of the picture).

@@ -6,7 +6,7 @@
 
 use rlz_repro::corpus::genome::{self, GenomeConfig};
 use rlz_repro::rlz::{Dictionary, FactorStats, PairCoding, RlzCompressor};
-use rlz_repro::store::{DocStore, RlzStore, RlzStoreBuilder};
+use rlz_repro::store::{build_rlz_chunked, BuildConfig, DocStore, RlzStore};
 
 fn main() {
     let cfg = GenomeConfig {
@@ -66,12 +66,15 @@ fn main() {
     // setup for a population-scale archive.
     let dir = std::env::temp_dir().join(format!("rlz-genome-{}", std::process::id()));
     let individuals: Vec<&[u8]> = collection.iter_docs().collect();
-    RlzStoreBuilder::new(
-        Dictionary::from_bytes(genome::reference(&cfg)),
-        PairCoding::ZV,
+    build_rlz_chunked(
+        &dir,
+        &RlzCompressor::new(
+            Dictionary::from_bytes(genome::reference(&cfg)),
+            PairCoding::ZV,
+        ),
+        individuals.iter(),
+        &BuildConfig::default(),
     )
-    .threads(4)
-    .build(&dir, &individuals)
     .expect("store builds");
     let store = RlzStore::open(&dir).expect("store opens");
     let ids: Vec<u32> = (0..store.num_docs() as u32).collect();

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use rlz_repro::rlz::{Dictionary, FactorStats, PairCoding, RlzCompressor, SampleStrategy};
-use rlz_repro::store::{DocStore, RlzStore, RlzStoreBuilder};
+use rlz_repro::store::{build_rlz_chunked, BuildConfig, DocStore, RlzStore};
 
 fn main() {
     // A toy collection: 500 "web pages" sharing a site template. In a real
@@ -80,17 +80,19 @@ fn main() {
     // store serves any number of reader threads; get_batch fans a request
     // list out over workers.
     let dir = std::env::temp_dir().join(format!("rlz-quickstart-{}", std::process::id()));
-    let slices: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
     let dict = Dictionary::sample(
         &collection,
         collection.len() / 50,
         1024,
         SampleStrategy::Evenly,
     );
-    RlzStoreBuilder::new(dict, PairCoding::PV)
-        .threads(4)
-        .build(&dir, &slices)
-        .expect("store builds");
+    build_rlz_chunked(
+        &dir,
+        &RlzCompressor::new(dict, PairCoding::PV),
+        pages.iter(),
+        &BuildConfig::default(),
+    )
+    .expect("store builds");
     let store = RlzStore::open(&dir).expect("store opens");
     let wanted: Vec<u32> = (0..500).step_by(7).collect();
     let batch = store.get_batch(&wanted, 4).expect("batch retrieval");

@@ -8,9 +8,9 @@
 //! (`cargo run --release -p rlz-serve -- --store DIR`), skip the in-process
 //! setup and call `Client::connect("127.0.0.1:7641".parse().unwrap())`.
 
-use rlz_repro::rlz::{Dictionary, PairCoding, SampleStrategy};
+use rlz_repro::rlz::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
 use rlz_repro::serve::{serve, Client, ServeConfig};
-use rlz_repro::store::{DocStore, RlzStore, RlzStoreBuilder};
+use rlz_repro::store::{build_rlz_chunked, BuildConfig, DocStore, RlzStore};
 use std::net::TcpListener;
 use std::sync::Arc;
 
@@ -35,10 +35,13 @@ fn main() {
         SampleStrategy::Evenly,
     );
     let dir = std::env::temp_dir().join(format!("rlz-serve-example-{}", std::process::id()));
-    let slices: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
-    RlzStoreBuilder::new(dict, PairCoding::ZV)
-        .build(&dir, &slices)
-        .expect("store builds");
+    build_rlz_chunked(
+        &dir,
+        &RlzCompressor::new(dict, PairCoding::ZV),
+        pages.iter(),
+        &BuildConfig::default(),
+    )
+    .expect("store builds");
 
     // Serve it: any DocStore family works; port 0 picks a free port.
     let store: Arc<dyn DocStore> = Arc::new(RlzStore::open(&dir).expect("store opens"));

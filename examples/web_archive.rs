@@ -6,8 +6,11 @@
 //! Run with: `cargo run --release --example web_archive`
 
 use rlz_repro::corpus::{access, generate_web, WebConfig};
-use rlz_repro::rlz::{Dictionary, PairCoding, SampleStrategy};
-use rlz_repro::store::{AsciiStore, BlockCodec, BlockedStore, DocStore, RlzStore, RlzStoreBuilder};
+use rlz_repro::rlz::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
+use rlz_repro::store::{
+    build_blocked_chunked, build_rlz_chunked, AsciiStore, BlockCodec, BlockedStore, BuildConfig,
+    DocStore, RlzStore,
+};
 use std::time::Instant;
 
 fn main() {
@@ -22,7 +25,6 @@ fn main() {
     );
 
     let root = std::env::temp_dir().join(format!("rlz-web-archive-{}", std::process::id()));
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
 
     // --- build the four systems ---
     let t = Instant::now();
@@ -30,23 +32,23 @@ fn main() {
     println!("ascii store built in {:.1?}", t.elapsed());
 
     let t = Instant::now();
-    BlockedStore::build(
+    build_blocked_chunked(
         &root.join("zlib"),
-        docs.iter().copied(),
         BlockCodec::Zlite(rlz_repro::zlite::Level::Default),
         100 * 1024,
-        threads,
+        docs.iter(),
+        &BuildConfig::default(),
     )
     .unwrap();
     println!("blocked zlib-class store built in {:.1?}", t.elapsed());
 
     let t = Instant::now();
-    BlockedStore::build(
+    build_blocked_chunked(
         &root.join("lzma"),
-        docs.iter().copied(),
         BlockCodec::Lzlite(rlz_repro::lzlite::Level::Default),
         100 * 1024,
-        threads,
+        docs.iter(),
+        &BuildConfig::default(),
     )
     .unwrap();
     println!("blocked lzma-class store built in {:.1?}", t.elapsed());
@@ -58,10 +60,13 @@ fn main() {
         1024,
         SampleStrategy::Evenly,
     );
-    RlzStoreBuilder::new(dict, PairCoding::ZV)
-        .threads(threads)
-        .build(&root.join("rlz"), &docs)
-        .unwrap();
+    build_rlz_chunked(
+        &root.join("rlz"),
+        &RlzCompressor::new(dict, PairCoding::ZV),
+        docs.iter(),
+        &BuildConfig::default(),
+    )
+    .unwrap();
     println!("rlz store built in {:.1?}", t.elapsed());
 
     // --- measure ---

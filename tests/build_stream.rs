@@ -1,17 +1,23 @@
-//! Chunked/parallel construction must be byte-identical to the serial
-//! batch oracle — for every store family, across random corpora, master
-//! block sizes, storage block sizes and thread counts, including the
-//! edges the pipeline has to get right: a document larger than the block
-//! budget (one block of its own, never split), zero-length documents, and
-//! trailing zero-length documents (which in the blocked format get docmap
-//! entries but no storage block of their own).
+//! Chunked/parallel construction must emit the same bytes whatever its
+//! thread count and master-block size — for every store family, across
+//! random corpora, master block sizes, storage block sizes and thread
+//! counts, including the edges the pipeline has to get right: a document
+//! larger than the block budget (one block of its own, never split),
+//! zero-length documents, and trailing zero-length documents (which in the
+//! blocked format get docmap entries but no storage block of their own).
+//!
+//! The references are independent of the pipeline's scheduling: for RLZ a
+//! plain loop of `compress` → [`RlzWriter`]; for blocked stores the same
+//! pipeline with one worker, which cannot reorder blocks (reordering is
+//! the only logic the thread count changes). Ascii stores have one
+//! sequential writer, so they are checked by `get` round-trips.
 
 use proptest::prelude::*;
 use rlz_repro::ingest::doc_bytes;
-use rlz_repro::rlz::{Dictionary, PairCoding, SampleStrategy};
+use rlz_repro::rlz::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
 use rlz_repro::store::{
-    build_ascii_chunked, build_blocked_chunked, build_rlz_chunked, AsciiStore, BlockCodec,
-    BlockedStore, BuildConfig, DocStore, RlzStore, RlzStoreBuilder,
+    build_blocked_chunked, build_rlz_chunked, AsciiStore, BlockCodec, BlockedStore, BuildConfig,
+    DocStore, RlzStore, RlzWriter,
 };
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -59,8 +65,9 @@ fn dict_for(docs: &[Vec<u8>]) -> Dictionary {
     Dictionary::sample(&all, (all.len() / 32).max(64), 128, SampleStrategy::Evenly)
 }
 
-/// Builds serial + chunked for one family and asserts file-level identity
-/// plus `get` round-trips on the chunked store.
+/// Builds one family through the pipeline under `cfg` (and, for RLZ and
+/// blocked, its reference) and asserts file-level identity, the build
+/// report, and `get` round-trips on the piped store.
 fn check_family(
     family: &str,
     docs: &[Vec<u8>],
@@ -68,54 +75,61 @@ fn check_family(
     storage_block: usize,
     tag: &str,
 ) {
-    let serial = TestDir::new(&format!("{family}-serial-{tag}"));
+    let reference = TestDir::new(&format!("{family}-reference-{tag}"));
     let chunked = TestDir::new(&format!("{family}-chunked-{tag}"));
+    let raw_bytes: u64 = docs.iter().map(|d| d.len() as u64).sum();
     let reopened: Box<dyn DocStore> = match family {
         "ascii" => {
-            AsciiStore::build(serial.path(), docs.iter().map(|d| d.as_slice())).unwrap();
-            build_ascii_chunked(chunked.path(), docs.iter().cloned(), cfg).unwrap();
+            AsciiStore::build(chunked.path(), docs.iter().map(|d| d.as_slice())).unwrap();
             Box::new(AsciiStore::open(chunked.path()).unwrap())
         }
         "blocked" => {
             let codec = BlockCodec::Zlite(rlz_repro::zlite::Level::Default);
-            BlockedStore::build(
-                serial.path(),
-                docs.iter().map(|d| d.as_slice()),
-                codec,
-                storage_block,
-                2,
-            )
-            .unwrap();
+            let one_worker = BuildConfig {
+                threads: 1,
+                ..cfg.clone()
+            };
             build_blocked_chunked(
-                chunked.path(),
+                reference.path(),
                 codec,
                 storage_block,
-                docs.iter().cloned(),
-                cfg,
+                docs.iter(),
+                &one_worker,
             )
             .unwrap();
+            let report =
+                build_blocked_chunked(chunked.path(), codec, storage_block, docs.iter(), cfg)
+                    .unwrap();
+            assert_eq!(report.docs, docs.len() as u64, "blocked ({tag})");
+            assert_eq!(report.raw_bytes, raw_bytes, "blocked ({tag})");
             Box::new(BlockedStore::open(chunked.path()).unwrap())
         }
         "rlz" => {
-            let builder = RlzStoreBuilder::new(dict_for(docs), PairCoding::ZV).threads(2);
-            let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-            builder.build(serial.path(), &slices).unwrap();
-            build_rlz_chunked(
-                chunked.path(),
-                builder.compressor(),
-                docs.iter().cloned(),
-                cfg,
+            let compressor = RlzCompressor::new(dict_for(docs), PairCoding::ZV);
+            let mut writer = RlzWriter::create(
+                reference.path(),
+                compressor.dict().bytes(),
+                compressor.coding(),
             )
             .unwrap();
+            for doc in docs {
+                writer.append_encoded(&compressor.compress(doc)).unwrap();
+            }
+            writer.finish().unwrap();
+            let report = build_rlz_chunked(chunked.path(), &compressor, docs.iter(), cfg).unwrap();
+            assert_eq!(report.docs, docs.len() as u64, "rlz ({tag})");
+            assert_eq!(report.raw_bytes, raw_bytes, "rlz ({tag})");
             Box::new(RlzStore::open(chunked.path()).unwrap())
         }
         other => panic!("unknown family {other}"),
     };
-    assert_eq!(
-        dir_bytes(serial.path()),
-        dir_bytes(chunked.path()),
-        "{family} ({tag}): chunked build diverged from the serial oracle"
-    );
+    if family != "ascii" {
+        assert_eq!(
+            dir_bytes(reference.path()),
+            dir_bytes(chunked.path()),
+            "{family} ({tag}): chunked build diverged from its reference"
+        );
+    }
     assert_eq!(reopened.num_docs(), docs.len(), "{family} ({tag})");
     for (i, doc) in docs.iter().enumerate() {
         assert_eq!(&reopened.get(i).unwrap(), doc, "{family} ({tag}): doc {i}");
@@ -138,7 +152,7 @@ proptest! {
         trailing_empties in 0usize..4,
     ) {
         let docs = make_docs(seed, n, oversized, trailing_empties);
-        let cfg = BuildConfig { threads, block_bytes, queued_blocks: 2 };
+        let cfg = BuildConfig { threads, block_bytes };
         let tag = format!("{seed}-{n}-{threads}-{block_bytes}");
         for family in FAMILIES {
             check_family(family, &docs, &cfg, storage_block, &tag);
@@ -146,19 +160,20 @@ proptest! {
     }
 }
 
-/// The named edge from the issue: one document larger than the master
-/// block budget must still round-trip byte-identically (it forms a block
-/// of its own; documents are never split).
+/// One document larger than the master block budget must still round-trip
+/// byte-identically (it forms a block of its own; documents are never
+/// split) — also with one document per storage block.
 #[test]
 fn one_doc_larger_than_block() {
     let docs = make_docs(0xB16, 12, true, 0);
     let cfg = BuildConfig {
         threads: 3,
         block_bytes: 512,
-        queued_blocks: 2,
     };
-    for family in FAMILIES {
-        check_family(family, &docs, &cfg, 1024, "oversized");
+    for storage_block in [0, 1024] {
+        for family in FAMILIES {
+            check_family(family, &docs, &cfg, storage_block, "oversized");
+        }
     }
 }
 
@@ -171,7 +186,6 @@ fn trailing_empty_docs_match_serial() {
     let cfg = BuildConfig {
         threads: 2,
         block_bytes: 777,
-        queued_blocks: 1,
     };
     for family in FAMILIES {
         check_family(family, &docs, &cfg, 512, "trailing");

@@ -5,8 +5,11 @@
 //! the RLZ/ascii read path.
 
 use rlz_repro::corpus::{access, generate_web, WebConfig};
-use rlz_repro::rlz::{Dictionary, PairCoding, SampleStrategy};
-use rlz_repro::store::{AsciiStore, BlockCodec, BlockedStore, DocStore, RlzStore, RlzStoreBuilder};
+use rlz_repro::rlz::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
+use rlz_repro::store::{
+    build_blocked_chunked, build_rlz_chunked, AsciiStore, BlockCodec, BlockedStore, BuildConfig,
+    DocStore, RlzStore,
+};
 
 mod common;
 use common::TestDir;
@@ -63,12 +66,12 @@ fn blocked_store_serves_concurrent_readers() {
     let c = crawl();
     let docs: Vec<&[u8]> = c.iter_docs().collect();
     let dir = TestDir::new("blocked");
-    BlockedStore::build(
+    build_blocked_chunked(
         dir.path(),
-        docs.iter().copied(),
         BlockCodec::Zlite(rlz_repro::zlite::Level::Fast),
         64 * 1024,
-        THREADS,
+        docs.iter(),
+        &BuildConfig::default(),
     )
     .unwrap();
     // Without cache: every get decompresses privately.
@@ -85,10 +88,13 @@ fn rlz_store_serves_concurrent_readers() {
     let docs: Vec<&[u8]> = c.iter_docs().collect();
     let dict = Dictionary::sample(&c.data, c.data.len() / 100, 1024, SampleStrategy::Evenly);
     let dir = TestDir::new("rlz");
-    RlzStoreBuilder::new(dict, PairCoding::ZV)
-        .threads(THREADS)
-        .build(dir.path(), &docs)
-        .unwrap();
+    build_rlz_chunked(
+        dir.path(),
+        &RlzCompressor::new(dict, PairCoding::ZV),
+        docs.iter(),
+        &BuildConfig::default(),
+    )
+    .unwrap();
     hammer(&RlzStore::open(dir.path()).unwrap(), &docs);
     hammer(&RlzStore::open_resident(dir.path()).unwrap(), &docs);
 }
@@ -99,10 +105,13 @@ fn clones_are_cheap_per_thread_handles() {
     let docs: Vec<&[u8]> = c.iter_docs().collect();
     let dict = Dictionary::sample(&c.data, c.data.len() / 100, 1024, SampleStrategy::Evenly);
     let dir = TestDir::new("rlz-clones");
-    RlzStoreBuilder::new(dict, PairCoding::UV)
-        .threads(THREADS)
-        .build(dir.path(), &docs)
-        .unwrap();
+    build_rlz_chunked(
+        dir.path(),
+        &RlzCompressor::new(dict, PairCoding::UV),
+        docs.iter(),
+        &BuildConfig::default(),
+    )
+    .unwrap();
     let store = RlzStore::open(dir.path()).unwrap();
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -129,20 +138,23 @@ fn get_batch_round_trips_across_store_families() {
     let ascii_dir = TestDir::new("batch-ascii");
     AsciiStore::build(ascii_dir.path(), docs.iter().copied()).unwrap();
     let zl_dir = TestDir::new("batch-zl");
-    BlockedStore::build(
+    build_blocked_chunked(
         zl_dir.path(),
-        docs.iter().copied(),
         BlockCodec::Zlite(rlz_repro::zlite::Level::Fast),
         32 * 1024,
-        THREADS,
+        docs.iter(),
+        &BuildConfig::default(),
     )
     .unwrap();
     let rlz_dir = TestDir::new("batch-rlz");
     let dict = Dictionary::sample(&c.data, c.data.len() / 100, 1024, SampleStrategy::Evenly);
-    RlzStoreBuilder::new(dict, PairCoding::ZZ)
-        .threads(THREADS)
-        .build(rlz_dir.path(), &docs)
-        .unwrap();
+    build_rlz_chunked(
+        rlz_dir.path(),
+        &RlzCompressor::new(dict, PairCoding::ZZ),
+        docs.iter(),
+        &BuildConfig::default(),
+    )
+    .unwrap();
 
     let stores: Vec<Box<dyn DocStore>> = vec![
         Box::new(AsciiStore::open(ascii_dir.path()).unwrap()),
@@ -172,12 +184,12 @@ fn for_each_store_family(check: impl Fn(&str, &dyn DocStore)) {
     check("ascii", &AsciiStore::open(ascii_dir.path()).unwrap());
 
     let zl_dir = TestDir::new("fam-zl");
-    BlockedStore::build(
+    build_blocked_chunked(
         zl_dir.path(),
-        docs.iter().copied(),
         BlockCodec::Zlite(rlz_repro::zlite::Level::Fast),
         16 * 1024,
-        THREADS,
+        docs.iter(),
+        &BuildConfig::default(),
     )
     .unwrap();
     check("blocked", &BlockedStore::open(zl_dir.path()).unwrap());
@@ -187,10 +199,13 @@ fn for_each_store_family(check: impl Fn(&str, &dyn DocStore)) {
 
     let rlz_dir = TestDir::new("fam-rlz");
     let dict = Dictionary::sample(&c.data, c.data.len() / 100, 1024, SampleStrategy::Evenly);
-    RlzStoreBuilder::new(dict, PairCoding::UV)
-        .threads(THREADS)
-        .build(rlz_dir.path(), &docs)
-        .unwrap();
+    build_rlz_chunked(
+        rlz_dir.path(),
+        &RlzCompressor::new(dict, PairCoding::UV),
+        docs.iter(),
+        &BuildConfig::default(),
+    )
+    .unwrap();
     check("rlz", &RlzStore::open(rlz_dir.path()).unwrap());
 }
 

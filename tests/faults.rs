@@ -7,10 +7,11 @@
 
 use proptest::prelude::*;
 use rlz_repro::corpus::{generate_web, WebConfig};
-use rlz_repro::rlz::{Dictionary, PairCoding, SampleStrategy};
+use rlz_repro::rlz::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
 use rlz_repro::store::{
-    AsciiStore, BlockCodec, BlockedStore, DocStore, FaultBackend, FaultPlan, FileBackend, RlzStore,
-    RlzStoreBuilder, StorageBackend, StoreError,
+    build_blocked_chunked, build_rlz_chunked, write_quarantine, AsciiStore, BlockCodec,
+    BlockedStore, BuildConfig, DocStore, FaultBackend, FaultPlan, FileBackend, RlzStore,
+    StorageBackend, StoreError,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -37,12 +38,12 @@ fn build_faulted(
             "data.bin"
         }
         "blocked" => {
-            BlockedStore::build(
+            build_blocked_chunked(
                 dir,
-                docs.iter().map(|d| d.as_slice()),
                 BlockCodec::Zlite(rlz_repro::zlite::Level::Default),
                 16 * 1024,
-                2,
+                docs.iter(),
+                &BuildConfig::default(),
             )
             .unwrap();
             "blocks.bin"
@@ -50,11 +51,13 @@ fn build_faulted(
         "rlz" => {
             let all: Vec<u8> = docs.concat();
             let dict = Dictionary::sample(&all, all.len() / 64, 512, SampleStrategy::Evenly);
-            let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-            RlzStoreBuilder::new(dict, PairCoding::ZV)
-                .threads(2)
-                .build(dir, &slices)
-                .unwrap();
+            build_rlz_chunked(
+                dir,
+                &RlzCompressor::new(dict, PairCoding::ZV),
+                docs.iter(),
+                &BuildConfig::default(),
+            )
+            .unwrap();
             "payload.bin"
         }
         other => panic!("unknown family {other}"),
@@ -213,6 +216,25 @@ fn truncated_backend_errors_without_panicking() {
     }
 }
 
+/// A quarantine sidecar names documents of the store that was scrubbed:
+/// rebuilding into the same directory must not carry it over and fail
+/// healthy documents of the new store.
+#[test]
+fn rebuilding_a_store_drops_the_old_quarantine() {
+    let old = corpus_docs();
+    let new: Vec<Vec<u8>> = old.iter().rev().take(40).cloned().collect();
+    for family in FAMILIES {
+        let dir = TestDir::new(&format!("requarantine-{family}"));
+        build_faulted(family, dir.path(), &old);
+        write_quarantine(dir.path(), &[1]).unwrap();
+        let (store, _, _) = build_faulted(family, dir.path(), &new);
+        assert_eq!(store.quarantined_docs(), 0, "{family}");
+        for (i, doc) in new.iter().enumerate() {
+            assert_eq!(&store.get(i).unwrap(), doc, "{family}: doc {i}");
+        }
+    }
+}
+
 /// Tiny per-family stores whose on-disk files the property tests mutate.
 /// Built once; each case copies the directory and damages the copy.
 fn tiny_store(family: &'static str) -> &'static (PathBuf, usize) {
@@ -237,21 +259,26 @@ fn tiny_store(family: &'static str) -> &'static (PathBuf, usize) {
                 std::fs::create_dir_all(&dir).unwrap();
                 match family {
                     "ascii" => AsciiStore::build(&dir, docs.iter().map(|d| d.as_slice())).unwrap(),
-                    "blocked" => BlockedStore::build(
-                        &dir,
-                        docs.iter().map(|d| d.as_slice()),
-                        BlockCodec::Zlite(rlz_repro::zlite::Level::Default),
-                        1024,
-                        1,
-                    )
-                    .unwrap(),
+                    "blocked" => {
+                        build_blocked_chunked(
+                            &dir,
+                            BlockCodec::Zlite(rlz_repro::zlite::Level::Default),
+                            1024,
+                            docs.iter(),
+                            &BuildConfig::default(),
+                        )
+                        .unwrap();
+                    }
                     "rlz" => {
                         let all: Vec<u8> = docs.concat();
                         let dict = Dictionary::sample(&all, 1024, 128, SampleStrategy::Evenly);
-                        let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-                        RlzStoreBuilder::new(dict, PairCoding::ZV)
-                            .build(&dir, &slices)
-                            .unwrap();
+                        build_rlz_chunked(
+                            &dir,
+                            &RlzCompressor::new(dict, PairCoding::ZV),
+                            docs.iter(),
+                            &BuildConfig::default(),
+                        )
+                        .unwrap();
                     }
                     _ => unreachable!(),
                 }

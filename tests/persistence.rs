@@ -3,8 +3,11 @@
 //! be detected.
 
 use rlz_repro::corpus::{generate_web, WebConfig};
-use rlz_repro::rlz::{Dictionary, PairCoding, SampleStrategy};
-use rlz_repro::store::{AsciiStore, BlockCodec, BlockedStore, DocStore, RlzStore, RlzStoreBuilder};
+use rlz_repro::rlz::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
+use rlz_repro::store::{
+    build_blocked_chunked, build_rlz_chunked, AsciiStore, BlockCodec, BlockedStore, BuildConfig,
+    DocStore, RlzStore,
+};
 
 mod common;
 use common::TestDir;
@@ -16,10 +19,13 @@ fn rlz_store_reopens_across_sessions() {
     let dir = TestDir::new("rlz-reopen");
     {
         let dict = Dictionary::sample(&c.data, 16 * 1024, 512, SampleStrategy::Evenly);
-        RlzStoreBuilder::new(dict, PairCoding::ZV)
-            .threads(4)
-            .build(dir.path(), &docs)
-            .unwrap();
+        build_rlz_chunked(
+            dir.path(),
+            &RlzCompressor::new(dict, PairCoding::ZV),
+            docs.iter(),
+            &BuildConfig::default(),
+        )
+        .unwrap();
     } // builder, dictionary, suffix array all dropped — "process exit"
 
     // First reader session.
@@ -39,12 +45,12 @@ fn blocked_store_reopens_and_detects_meta_corruption() {
     let c = generate_web(&WebConfig::gov2(1 << 20, 98));
     let docs: Vec<&[u8]> = c.iter_docs().collect();
     let dir = TestDir::new("blocked-reopen");
-    BlockedStore::build(
+    build_blocked_chunked(
         dir.path(),
-        docs.iter().copied(),
         BlockCodec::Zlite(rlz_repro::zlite::Level::Default),
         64 * 1024,
-        4,
+        docs.iter(),
+        &BuildConfig::default(),
     )
     .unwrap();
     {
@@ -81,9 +87,13 @@ fn rlz_store_detects_cross_coding_mismatch() {
     let docs: Vec<&[u8]> = c.iter_docs().collect();
     let dir = TestDir::new("rlz-mislabel");
     let dict = Dictionary::sample(&c.data, 8 * 1024, 512, SampleStrategy::Evenly);
-    RlzStoreBuilder::new(dict, PairCoding::UV)
-        .build(dir.path(), &docs)
-        .unwrap();
+    build_rlz_chunked(
+        dir.path(),
+        &RlzCompressor::new(dict, PairCoding::UV),
+        docs.iter(),
+        &BuildConfig::default(),
+    )
+    .unwrap();
     // Keep the two-byte layout header, swap the coding name after it.
     let meta = dir.path().join("meta.bin");
     let mut bytes = std::fs::read(&meta).unwrap();

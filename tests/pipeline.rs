@@ -3,8 +3,11 @@
 //! section at miniature scale.
 
 use rlz_repro::corpus::{self, access, generate_web, WebConfig};
-use rlz_repro::rlz::{Dictionary, PairCoding, SampleStrategy};
-use rlz_repro::store::{AsciiStore, BlockCodec, BlockedStore, DocStore, RlzStore, RlzStoreBuilder};
+use rlz_repro::rlz::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
+use rlz_repro::store::{
+    build_blocked_chunked, build_rlz_chunked, AsciiStore, BlockCodec, BlockedStore, BuildConfig,
+    DocStore, RlzStore,
+};
 
 mod common;
 use common::TestDir;
@@ -25,33 +28,36 @@ fn every_store_returns_identical_documents() {
     let ascii = AsciiStore::open(ascii_dir.path()).unwrap();
 
     let zl_dir = TestDir::new("zl");
-    BlockedStore::build(
+    build_blocked_chunked(
         zl_dir.path(),
-        docs.iter().copied(),
         BlockCodec::Zlite(rlz_repro::zlite::Level::Default),
         64 * 1024,
-        8,
+        docs.iter(),
+        &BuildConfig::default(),
     )
     .unwrap();
     let zl = BlockedStore::open(zl_dir.path()).unwrap();
 
     let lz_dir = TestDir::new("lz");
-    BlockedStore::build(
+    build_blocked_chunked(
         lz_dir.path(),
-        docs.iter().copied(),
         BlockCodec::Lzlite(rlz_repro::lzlite::Level::Fast),
         128 * 1024,
-        8,
+        docs.iter(),
+        &BuildConfig::default(),
     )
     .unwrap();
     let lz = BlockedStore::open(lz_dir.path()).unwrap();
 
     let dict = Dictionary::sample(&c.data, c.data.len() / 200, 1024, SampleStrategy::Evenly);
     let rlz_dir = TestDir::new("rlz");
-    RlzStoreBuilder::new(dict, PairCoding::ZV)
-        .threads(8)
-        .build(rlz_dir.path(), &docs)
-        .unwrap();
+    build_rlz_chunked(
+        rlz_dir.path(),
+        &RlzCompressor::new(dict, PairCoding::ZV),
+        docs.iter(),
+        &BuildConfig::default(),
+    )
+    .unwrap();
     let rlz = RlzStore::open(rlz_dir.path()).unwrap();
 
     assert_eq!(ascii.num_docs(), docs.len());
@@ -78,22 +84,25 @@ fn rlz_compresses_better_than_small_block_zlib() {
     let docs: Vec<&[u8]> = c.iter_docs().collect();
 
     let zl_dir = TestDir::new("ratio-zl");
-    BlockedStore::build(
+    build_blocked_chunked(
         zl_dir.path(),
-        docs.iter().copied(),
         BlockCodec::Zlite(rlz_repro::zlite::Level::Best),
         100 * 1024,
-        8,
+        docs.iter(),
+        &BuildConfig::default(),
     )
     .unwrap();
     let zl = BlockedStore::open(zl_dir.path()).unwrap();
 
     let dict = Dictionary::sample(&c.data, c.data.len() / 50, 1024, SampleStrategy::Evenly);
     let rlz_dir = TestDir::new("ratio-rlz");
-    RlzStoreBuilder::new(dict, PairCoding::ZZ)
-        .threads(8)
-        .build(rlz_dir.path(), &docs)
-        .unwrap();
+    build_rlz_chunked(
+        rlz_dir.path(),
+        &RlzCompressor::new(dict, PairCoding::ZZ),
+        docs.iter(),
+        &BuildConfig::default(),
+    )
+    .unwrap();
     let rlz = RlzStore::open(rlz_dir.path()).unwrap();
 
     let zl_pct = zl.stored_bytes() as f64 * 100.0 / c.total_bytes() as f64;
@@ -112,12 +121,12 @@ fn url_sorting_helps_blocked_but_not_rlz() {
     let build_zl = |col: &corpus::Collection, tag: &str| {
         let docs: Vec<&[u8]> = col.iter_docs().collect();
         let dir = TestDir::new(tag);
-        BlockedStore::build(
+        build_blocked_chunked(
             dir.path(),
-            docs.iter().copied(),
             BlockCodec::Zlite(rlz_repro::zlite::Level::Default),
             100 * 1024,
-            8,
+            docs.iter(),
+            &BuildConfig::default(),
         )
         .unwrap();
         let s = BlockedStore::open(dir.path()).unwrap().stored_bytes();
@@ -139,10 +148,13 @@ fn url_sorting_helps_blocked_but_not_rlz() {
             SampleStrategy::Evenly,
         );
         let dir = TestDir::new(tag);
-        RlzStoreBuilder::new(dict, PairCoding::ZV)
-            .threads(8)
-            .build(dir.path(), &docs)
-            .unwrap();
+        build_rlz_chunked(
+            dir.path(),
+            &RlzCompressor::new(dict, PairCoding::ZV),
+            docs.iter(),
+            &BuildConfig::default(),
+        )
+        .unwrap();
         RlzStore::open(dir.path()).unwrap().total_stored_bytes()
     };
     let rlz_crawl = build_rlz(c, "url-rlz-crawl") as f64;
@@ -170,10 +182,13 @@ fn dictionary_size_trades_compression() {
     for (i, frac) in [800usize, 200, 50].into_iter().enumerate() {
         let dict = Dictionary::sample(&c.data, c.data.len() / frac, 1024, SampleStrategy::Evenly);
         let dir = TestDir::new(&format!("dictsize-{i}"));
-        RlzStoreBuilder::new(dict, PairCoding::ZV)
-            .threads(8)
-            .build(dir.path(), &docs)
-            .unwrap();
+        build_rlz_chunked(
+            dir.path(),
+            &RlzCompressor::new(dict, PairCoding::ZV),
+            docs.iter(),
+            &BuildConfig::default(),
+        )
+        .unwrap();
         sizes.push(RlzStore::open(dir.path()).unwrap().total_stored_bytes());
     }
     assert!(

@@ -6,14 +6,14 @@
 //! hot-document cache, and clean shutdown semantics.
 
 use rlz_repro::corpus::{access, generate_web, WebConfig};
-use rlz_repro::rlz::{Dictionary, PairCoding, SampleStrategy};
+use rlz_repro::rlz::{Dictionary, PairCoding, RlzCompressor, SampleStrategy};
 use rlz_repro::serve::protocol::{
     self, STATUS_BAD_FRAME, STATUS_BAD_OPCODE, STATUS_CORRUPT, STATUS_OUT_OF_RANGE,
 };
 use rlz_repro::serve::{serve, Client, ClientError, ServeConfig};
 use rlz_repro::store::{
-    BlockCodec, BlockedStore, DocStore, FaultBackend, FaultPlan, FileBackend, RlzStore,
-    RlzStoreBuilder, StorageBackend,
+    build_blocked_chunked, build_rlz_chunked, BlockCodec, BlockedStore, BuildConfig, DocStore,
+    FaultBackend, FaultPlan, FileBackend, RlzStore, StorageBackend,
 };
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -30,11 +30,13 @@ fn corpus_docs() -> Vec<Vec<u8>> {
 fn build_rlz(dir: &std::path::Path, docs: &[Vec<u8>]) {
     let all: Vec<u8> = docs.concat();
     let dict = Dictionary::sample(&all, all.len() / 64, 512, SampleStrategy::Evenly);
-    let slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-    RlzStoreBuilder::new(dict, PairCoding::ZV)
-        .threads(2)
-        .build(dir, &slices)
-        .unwrap();
+    build_rlz_chunked(
+        dir,
+        &RlzCompressor::new(dict, PairCoding::ZV),
+        docs.iter(),
+        &BuildConfig::default(),
+    )
+    .unwrap();
 }
 
 fn start_cfg(store: Arc<dyn DocStore>, cfg: ServeConfig) -> rlz_repro::serve::ServerHandle {
@@ -209,12 +211,12 @@ fn hot_document_cache_is_byte_identical_and_counted() {
 fn blocked_store_serves_identically() {
     let docs = corpus_docs();
     let dir = TestDir::new("blocked");
-    BlockedStore::build(
+    build_blocked_chunked(
         dir.path(),
-        docs.iter().map(|d| d.as_slice()),
         BlockCodec::Zlite(rlz_repro::zlite::Level::Default),
         64 * 1024,
-        2,
+        docs.iter(),
+        &BuildConfig::default(),
     )
     .unwrap();
     let store = BlockedStore::open(dir.path()).unwrap();
@@ -325,12 +327,12 @@ fn error_frames_and_connection_policy() {
 fn corrupt_block_fails_only_its_mget_entries_over_the_wire() {
     let docs = corpus_docs();
     let dir = TestDir::new("corrupt-mget");
-    BlockedStore::build(
+    build_blocked_chunked(
         dir.path(),
-        docs.iter().map(|d| d.as_slice()),
         BlockCodec::Zlite(rlz_repro::zlite::Level::Default),
         16 * 1024,
-        2,
+        docs.iter(),
+        &BuildConfig::default(),
     )
     .unwrap();
     // A seeded single-byte flip in the middle of the compressed payload:
