@@ -192,8 +192,9 @@ impl BlockPacker {
     }
 
     /// The final block, plus the lengths of any trailing zero-length
-    /// documents that close the collection without a block of their own — they still need docmap
-    /// entries. A zero-document collection emits one empty block.
+    /// documents that close the collection without a block of their own —
+    /// they still need docmap entries. A zero-document collection emits one
+    /// empty block.
     pub fn finish(self) -> (Option<RawBlock>, Vec<usize>) {
         if !self.current.is_empty() || self.doc_id == 0 {
             (
